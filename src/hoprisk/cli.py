@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import secrets
 import sys
 from typing import Sequence
@@ -18,6 +19,7 @@ from . import __version__
 from .exact import ExactEngineCapError, DEFAULT_NODE_CAP, joint_pmf
 from .network import (
     assign_types_by_degree,
+    build_network,
     generate_ba,
     load_json,
     save_json,
@@ -215,10 +217,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_order_check(args: argparse.Namespace) -> int:
+    scales = {k: v for k, v in (("p", args.p_scale), ("q", args.q_scale)) if v is not None}
+    for name, scale in scales.items():
+        if not (math.isfinite(scale) and scale >= 0.0):
+            raise ValueError(f"--{name}-scale must be finite and >= 0, got {scale}")
+    if args.depths and scales:
+        raise ValueError("use either --depths or --p-scale/--q-scale, not both")
     net = load_json(args.network)
     cap = args.cap_override if args.cap_override is not None else DEFAULT_NODE_CAP
-    if args.depths and (args.p_scale or args.q_scale):
-        raise ValueError("use either --depths or --p-scale/--q-scale, not both")
     reports = []
     if args.depths:
         if len(args.depths) < 2:
@@ -227,27 +233,17 @@ def cmd_order_check(args: argparse.Namespace) -> int:
         for lo, hi in zip(args.depths, args.depths[1:]):
             claim = f"depth {lo} <= depth {hi}"
             reports.append(check_orthant_monotone(pmfs[lo], pmfs[hi], args.tol, claim))
-    elif args.p_scale is not None or args.q_scale is not None:
+    elif scales:
         if args.depth is None:
             raise ValueError("--p-scale/--q-scale require --depth")
+        claims = [f"{name} scaled by {scale}" for name, scale in scales.items()]
+        p_scale, q_scale = scales.get("p", 1.0), scales.get("q", 1.0)
+        scaled = build_network(
+            [(v, t, min(1.0, pi * p_scale)) for v, t, pi in zip(net.node_ids, net.types, net.p)],
+            net.edges,
+            q={pair: min(1.0, qij * q_scale) for pair, qij in net.q.items()},
+        )
         lo = joint_pmf(net, args.depth, max_nodes=cap)
-        scaled = net
-        claims = []
-        if args.p_scale is not None:
-            from dataclasses import replace
-
-            scaled = replace(
-                scaled, p=tuple(min(1.0, pi * args.p_scale) for pi in scaled.p)
-            )
-            claims.append(f"p scaled by {args.p_scale}")
-        if args.q_scale is not None:
-            from dataclasses import replace
-
-            scaled = replace(
-                scaled,
-                q={k: min(1.0, v * args.q_scale) for k, v in scaled.q.items()},
-            )
-            claims.append(f"q scaled by {args.q_scale}")
         hi = joint_pmf(scaled, args.depth, max_nodes=cap)
         claim = f"base <= {', '.join(claims)} at depth {args.depth}"
         reports.append(check_orthant_monotone(lo, hi, args.tol, claim))

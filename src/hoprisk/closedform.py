@@ -1,21 +1,34 @@
-"""Closed-form joint compromise-count distributions for symmetric topologies.
+"""Joint compromise-count distributions for block-structured topologies.
 
-For a complete graph with homogeneous probabilities, a star, and a complete
-bipartite graph, the exact-set probabilities depend only on set sizes, which
-collapses the subset enumeration of the general engine into short binomial
-sums. Each formula here is checked against the general engine in the test
-suite, so these are safe fast paths, not approximations.
+On a complete graph with homogeneous probabilities, a star and a complete
+bipartite graph, the nodes fall into a few classes such that every pair of
+classes is joined by a complete block with one q per direction, or not at
+all, and p is constant within a class. Propagation on such a network is
+ordinarily lumpable to per-class counts (Kemeny & Snell, *Finite Markov
+Chains*): it is a multi-type Reed-Frost chain-binomial model whose state is
+the compromised count c_t and the front count f_t of each class t. The direct
+attack starts it with c_t = f_t ~ Binomial(N_t, p_t); in each round class t
+gains Binomial(N_t - c_t, 1 - prod_s (1 - q_st)^f_s) new nodes, which form its
+next front. One engine runs this chain for every topology here, at any depth,
+so these are exact fast paths, not approximations; the test suite checks them
+against the general engine.
+
+The state is a dense array with two axes per class. Its size and that of the
+per-class binomial tables are checked against a fixed budget before anything
+is allocated, and networks above it raise :class:`ExactEngineCapError`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
+from scipy.stats import binom
 
+from .exact import ExactEngineCapError
 from .pmf import JointPmf
 
 __all__ = [
@@ -27,18 +40,9 @@ __all__ = [
     "bipartite_pmf",
 ]
 
-# exact integer binomials below this n, log-gamma floats above (overflow safety)
-_EXACT_COMB_LIMIT = 60
-
-
-def _comb(n: int, m: int) -> float:
-    if m < 0 or m > n:
-        return 0.0
-    if n <= _EXACT_COMB_LIMIT:
-        return float(math.comb(n, m))
-    return math.exp(
-        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-    )
+# float64 cells of state array plus binomial tables (128 MiB); the round
+# contraction needs a few state-sized temporaries on top
+_MAX_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -79,17 +83,75 @@ class TwoClassParams:
                 raise ValueError(f"probability out of [0, 1]: {val}")
 
 
-@lru_cache(maxsize=None)
-def _r_complete(u: int, c: int, d: int, depth: int, q: float) -> float:
-    qbar = 1.0 - q
-    if depth == 1:
-        return (1.0 - qbar**d) ** (c - d) * qbar ** (d * (u - c))
-    total = 0.0
-    for i in range(c - d + 1):
-        w = _r_complete(u, d + i, d, 1, q)
-        if w != 0.0:
-            total += _comb(c - d, i) * w * _r_complete(u - d, c - d, i, depth - 1, q)
-    return total
+def _binom_pmf(n: int, h: np.ndarray | float) -> np.ndarray:
+    """``out[m, ..., k]`` = P(Binomial(m, h) = k) for m, k in 0..n, any shape of h.
+
+    Adds one trial at a time, so no large binomial coefficients appear and
+    h = 0 or 1 gives exact point masses.
+    """
+    h = np.asarray(h, dtype=float)[..., None]
+    out = np.zeros((n + 1,) + h.shape[:-1] + (n + 1,))
+    out[0, ..., 0] = 1.0
+    for m in range(1, n + 1):
+        out[m] = (1.0 - h) * out[m - 1]
+        out[m, ..., 1:] += h * out[m - 1, ..., :-1]
+    return out
+
+
+def _chain_binomial(
+    sizes: Sequence[int], starts: Sequence[np.ndarray], q: Sequence[Sequence[float]], depth: int
+) -> np.ndarray:
+    """Distribution of per-class compromised counts after ``depth`` rounds.
+
+    ``starts[t]`` is the distribution of class t's directly compromised count
+    (independent across classes) and ``q[s][t]`` the per-attempt probability
+    that a class-s node compromises a class-t node. Returns an array of shape
+    ``(N_1 + 1, ..., N_k + 1)``.
+    """
+    k = len(sizes)
+    # class t is hit only by the fronts of the classes s with q[s][t] > 0
+    hitters = [[s for s in range(k) if q[s][t] > 0.0] for t in range(k)]
+    state_cells = math.prod((n + 1) ** 2 for n in sizes)
+    table_cells = sum(
+        (sizes[t] + 1) ** 2 * math.prod(sizes[s] + 1 for s in hitters[t])
+        for t in range(k)
+    )
+    if state_cells + table_cells > _MAX_CELLS:
+        raise ExactEngineCapError(
+            f"class sizes {tuple(sizes)} need {state_cells + table_cells} float64 "
+            f"cells, above the lumped engine's budget of {_MAX_CELLS}; use the "
+            "`simulate` command / simulate_runs() instead"
+        )
+
+    # einsum axes: class t's count c_t is 2t, its front f_t 2t+1, its new hits 2k+t
+    state = reduce(np.multiply.outer, [np.diag(start) for start in starts])
+    args = [state, list(range(2 * k))]
+    for t, n in enumerate(sizes):
+        grids = np.ix_(*(np.arange(sizes[s] + 1) for s in hitters[t]))
+        miss = reduce(np.multiply, ((1.0 - q[s][t]) ** g for s, g in zip(hitters[t], grids)), 1.0)
+        # indexed by c_t, so row c draws from the N_t - c intact nodes
+        table = _binom_pmf(n, 1.0 - miss)[::-1]
+        args += [table, [2 * t] + [2 * s + 1 for s in hitters[t]] + [2 * k + t]]
+    out_axes = [a for t in range(k) for a in (2 * t, 2 * k + t)]
+    path = np.einsum_path(*args, out_axes, optimize="optimal")[0]
+
+    # after a round, (c, new) moves to (c + new, new). Targets with f > c are
+    # unreachable and read (c = N, new = 1), which is always 0: a fully
+    # compromised class has no node left to hit
+    shears = []
+    for n in sizes:
+        c, f = np.indices((n + 1, n + 1))
+        shears.append(np.where(f <= c, (c - f) * (n + 1) + f, n * (n + 1) + 1).ravel())
+
+    # each round with a nonempty front adds a node, so later rounds are idle
+    for _ in range(min(depth, sum(sizes))):
+        args[0] = state
+        state = np.einsum(*args, out_axes, optimize=path)
+        for t, shear in enumerate(shears):
+            shape = state.shape
+            merged = state.reshape(shape[: 2 * t] + (-1,) + shape[2 * t + 2 :])
+            state = merged.take(shear, axis=2 * t).reshape(shape)
+    return state.sum(axis=tuple(range(1, 2 * k, 2)))
 
 
 def r_complete(u: int, c: int, d: int, depth: int, *, q: float) -> float:
@@ -105,135 +167,56 @@ def r_complete(u: int, c: int, d: int, depth: int, *, q: float) -> float:
         raise ValueError("depth must be >= 1")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
-    return _r_complete(u, c, d, depth, q)
+    start = np.zeros(u + 1)
+    start[d] = 1.0
+    counts = _chain_binomial((u,), [start], [[q]], depth)
+    return float(counts[c] / math.comb(u - d, c - d))
 
 
 def complete_homog_pmf(params: CompleteHomogParams) -> JointPmf:
     """Joint count distribution on a homogeneous complete graph.
 
-    f(x) factors into the number of ways to choose the compromised nodes per
-    type times a sum over how many of them were hit directly.
+    All nodes form one class; given c compromised nodes, the compromised set
+    is uniform over c-subsets, so the per-type split is hypergeometric.
     """
     sizes = params.type_sizes
     n = sum(sizes)
-    p, pbar, depth = params.p, 1.0 - params.p, params.depth
-    dims = tuple(s + 1 for s in sizes)
-    probs = np.zeros(dims)
-    for x in np.ndindex(*dims):
-        chi = sum(x)
-        ways = 1.0
-        for size, xi in zip(sizes, x):
-            ways *= _comb(size, xi)
-        total = 0.0
-        for d in range(chi + 1):
-            total += (
-                _comb(chi, d)
-                * p**d
-                * pbar ** (n - d)
-                * _r_complete(n, chi, d, depth, params.q)
-            )
-        probs[x] = ways * total
-    return JointPmf(dims, probs)
+    start = binom.pmf(np.arange(n + 1), n, params.p)
+    counts = _chain_binomial((n,), [start], [[params.q]], params.depth)
+    ways = reduce(
+        np.multiply.outer,
+        [np.array([math.comb(s, x) for x in range(s + 1)], dtype=float) for s in sizes],
+    )
+    total = np.indices(ways.shape).sum(axis=0)
+    subsets = np.array([math.comb(n, x) for x in range(n + 1)], dtype=float)
+    return JointPmf(ways.shape, ways * (counts / subsets)[total])
+
+
+def _two_class_pmf(params: TwoClassParams, sizes: tuple[int, int], depth: int) -> JointPmf:
+    starts = [binom.pmf(np.arange(n + 1), n, p) for n, p in zip(sizes, (params.p1, params.p2))]
+    q = ((0.0, params.q12), (params.q21, 0.0))
+    return JointPmf(tuple(n + 1 for n in sizes), _chain_binomial(sizes, starts, q, depth))
 
 
 def star_pmf(params: TwoClassParams, n: int, depth: int) -> JointPmf:
     """Joint count distribution on a star with hub (class 1) and n-1 leaves.
 
-    Propagation on a star saturates after two rounds, so any depth >= 2 maps
-    to the depth-2 form.
+    Propagation on a star saturates after two rounds: later rounds have an
+    empty front.
     """
     if n < 2:
         raise ValueError("a star needs at least 2 nodes")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    leaves = n - 1
-    p1, p2, q12, q21 = params.p1, params.p2, params.q12, params.q21
-    p1b, p2b, q12b, q21b = 1.0 - p1, 1.0 - p2, 1.0 - q12, 1.0 - q21
-    dims = (2, n)
-    probs = np.zeros(dims)
-    for m in range(leaves + 1):
-        # hub intact: the m directly compromised leaves must all miss it
-        probs[0, m] = _comb(leaves, m) * p1b * p2**m * p2b ** (leaves - m) * q21b**m
-        if depth == 1:
-            hit_by_leaves = (
-                _comb(leaves, m)
-                * p2**m
-                * p1b
-                * p2b ** (leaves - m)
-                * (1.0 - q21b**m)
-            )
-            hub_direct = 0.0
-            for d in range(m + 1):
-                hub_direct += (
-                    _comb(m, d)
-                    * p1
-                    * p2**d
-                    * p2b ** (leaves - d)
-                    * q12 ** (m - d)
-                    * q12b ** (leaves - m)
-                )
-            probs[1, m] = hit_by_leaves + _comb(leaves, m) * hub_direct
-        else:
-            # hub compromised in round 1 by a direct leaf, spreads in round 2
-            via_leaves = 0.0
-            for d in range(1, m + 1):
-                via_leaves += (
-                    _comb(m, d)
-                    * p1b
-                    * p2**d
-                    * p2b ** (leaves - d)
-                    * (1.0 - q21b**d)
-                    * q12b ** (leaves - m)
-                    * q12 ** (m - d)
-                )
-            hub_direct = 0.0
-            for d in range(m + 1):
-                hub_direct += (
-                    _comb(m, d)
-                    * p1
-                    * p2**d
-                    * p2b ** (leaves - d)
-                    * q12b ** (leaves - m)
-                    * q12 ** (m - d)
-                )
-            probs[1, m] = _comb(leaves, m) * (via_leaves + hub_direct)
-    return JointPmf(dims, probs)
+    return _two_class_pmf(params, (1, n - 1), depth)
 
 
 def bipartite_pmf(
     params: TwoClassParams, n1: int, n2: int, depth: int = 1
 ) -> JointPmf:
-    """Joint count distribution on the complete bipartite graph K_{n1,n2}.
-
-    Only the single-round case has a closed form here; for deeper propagation
-    use the exact engine on an explicitly built bipartite network.
-    """
+    """Joint count distribution on the complete bipartite graph K_{n1,n2}."""
     if n1 < 1 or n2 < 1:
         raise ValueError("both sides must be nonempty")
-    if depth != 1:
-        raise ValueError(
-            "bipartite closed form covers depth 1 only; use the exact engine "
-            "for deeper propagation"
-        )
-    p1, p2, q12, q21 = params.p1, params.p2, params.q12, params.q21
-    dims = (n1 + 1, n2 + 1)
-    probs = np.zeros(dims)
-    for m1 in range(n1 + 1):
-        for m2 in range(n2 + 1):
-            total = 0.0
-            for d1 in range(m1 + 1):
-                for d2 in range(m2 + 1):
-                    total += (
-                        _comb(m1, d1)
-                        * _comb(m2, d2)
-                        * p1**d1
-                        * p2**d2
-                        * (1.0 - p1) ** (n1 - d1)
-                        * (1.0 - p2) ** (n2 - d2)
-                        * (1.0 - (1.0 - q12) ** d1) ** (m2 - d2)
-                        * (1.0 - (1.0 - q21) ** d2) ** (m1 - d1)
-                        * (1.0 - q12) ** (d1 * (n2 - m2))
-                        * (1.0 - q21) ** (d2 * (n1 - m1))
-                    )
-            probs[m1, m2] = _comb(n1, m1) * _comb(n2, m2) * total
-    return JointPmf(dims, probs)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    return _two_class_pmf(params, (n1, n2), depth)

@@ -44,7 +44,7 @@ _Adj = tuple[tuple[tuple[int, float], ...], ...]
 
 
 class ExactEngineCapError(RuntimeError):
-    """Raised when a network is too large for exact enumeration."""
+    """Raised when a network is too large for an exact engine to finish."""
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -87,9 +87,14 @@ class JointPmf:
                     continue
                 if len(row) != m + 1:
                     raise ValueError(f"{path}: row with {len(row)} fields, expected {m + 1}")
-                rows.append((tuple(int(v) for v in row[:m]), float(row[m])))
+                idx = tuple(int(v) for v in row[:m])
+                if min(idx) < 0:
+                    raise ValueError(f"{path}: negative cell index {idx}")
+                rows.append((idx, float(row[m])))
         if not rows:
             raise ValueError(f"{path}: empty PMF CSV")
+        if len({idx for idx, _ in rows}) < len(rows):
+            raise ValueError(f"{path}: duplicate cell rows")
         dims = tuple(max(idx[i] for idx, _ in rows) + 1 for i in range(m))
         expected = 1
         for d in dims:

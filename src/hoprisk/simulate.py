@@ -95,17 +95,21 @@ class SampleMatrix:
             rows = [(int(r[0]), int(r[1]), [int(v) for v in r[2:]]) for r in reader if r]
         if not rows:
             raise ValueError(f"{path}: no sample rows")
-        runs = max(r[0] for r in rows)
-        depth = max(r[1] for r in rows)
-        counts = np.zeros((runs, depth, m), dtype=np.int64)
-        seen = np.zeros((runs, depth), dtype=bool)
         for k, l, xs in rows:
             if len(xs) != m:
                 raise ValueError(f"{path}: ragged row for run {k}")
-            counts[k - 1, l - 1] = xs
-            seen[k - 1, l - 1] = True
-        if not seen.all():
+            if k < 1 or l < 1 or min(xs) < 0:
+                raise ValueError(f"{path}: run {k}, depth {l}: run and depth must be >= 1, "
+                                 "counts non-negative")
+        if len({(k, l) for k, l, _ in rows}) < len(rows):
+            raise ValueError(f"{path}: duplicate (run, depth) rows")
+        runs = max(r[0] for r in rows)
+        depth = max(r[1] for r in rows)
+        if len(rows) != runs * depth:
             raise ValueError(f"{path}: missing (run, depth) rows")
+        counts = np.zeros((runs, depth, m), dtype=np.int64)
+        for k, l, xs in rows:
+            counts[k - 1, l - 1] = xs
         sizes = tuple(int(s) for s in type_sizes) if type_sizes is not None else None
         return cls(counts=counts, depth=depth, master_seed=None, type_sizes=sizes)
 

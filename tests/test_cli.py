@@ -200,6 +200,16 @@ def test_order_check_scaling(k5_path, tmp_path, capsys):
     assert manifest["command"] == "order-check"
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--p-scale", "nan"), ("--p-scale", "-1"), ("--q-scale", "inf")]
+)
+def test_order_check_rejects_bad_scale(k5_path, capsys, flag, value):
+    assert main(["order-check", "--network", k5_path, "-L", "2", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert f"{flag} must be finite and >= 0" in captured.err
+
+
 def test_order_check_argument_validation(k5_path, capsys):
     assert main(["order-check", "--network", k5_path]) != 0
     assert main(["order-check", "--network", k5_path, "--p-scale", "1.5"]) != 0

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import binom
 
 from hoprisk import (
     CompleteHomogParams,
+    ExactEngineCapError,
     TwoClassParams,
     bipartite_pmf,
     complete_bipartite_network,
@@ -132,11 +136,6 @@ def test_bipartite_certain_compromise():
     assert pmf.probs[2, 2] == 1.0
 
 
-def test_bipartite_depth_restriction():
-    with pytest.raises(ValueError, match="exact engine"):
-        bipartite_pmf(TwoClassParams(0.1, 0.1, 0.1, 0.1), 2, 2, depth=2)
-
-
 def test_bipartite_matches_engine():
     rng = np.random.default_rng(99)
     for _ in range(8):
@@ -145,9 +144,12 @@ def test_bipartite_matches_engine():
         net = complete_bipartite_network(
             n1, n2, params.p1, params.p2, params.q12, params.q21
         )
-        assert_allclose(
-            bipartite_pmf(params, n1, n2).probs, joint_pmf(net, 1).probs, atol=1e-12
-        )
+        for depth in (1, 2, 3):
+            assert_allclose(
+                bipartite_pmf(params, n1, n2, depth).probs,
+                joint_pmf(net, depth).probs,
+                atol=1e-12,
+            )
 
 
 def test_closed_forms_match_brute_force():
@@ -161,6 +163,32 @@ def test_closed_forms_match_brute_force():
     assert_allclose(
         bipartite_pmf(params, 2, 2).probs, brute_force_joint_pmf(bip, 1).probs, atol=1e-12
     )
+    assert_allclose(
+        bipartite_pmf(params, 2, 2, 2).probs, brute_force_joint_pmf(bip, 2).probs, atol=1e-12
+    )
+
+
+def test_no_propagation_is_independent_binomials_at_large_n():
+    # 200 nodes: binomial coefficients far beyond 2^53 and up to 1e59
+    p = 0.3
+    homog = complete_homog_pmf(CompleteHomogParams((20, 180), p, 0.0, 2))
+    expected = np.outer(binom.pmf(np.arange(21), 20, p), binom.pmf(np.arange(181), 180, p))
+    assert_allclose(homog.probs, expected, atol=1e-12)
+    bip = bipartite_pmf(TwoClassParams(0.2, 0.7, 0.0, 0.0), 5, 45, depth=3)
+    expected = np.outer(binom.pmf(np.arange(6), 5, 0.2), binom.pmf(np.arange(46), 45, 0.7))
+    assert_allclose(bip.probs, expected, atol=1e-12)
+
+
+def test_oversized_classes_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExactEngineCapError, match="simulate"):
+            bipartite_pmf(TwoClassParams(0.1, 0.1, 0.1, 0.1), 200, 200, depth=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense state alone would be 201^4 doubles, about 12 GiB
+    assert peak < 1 << 16
 
 
 def test_all_closed_forms_normalize():

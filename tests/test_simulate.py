@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hoprisk import (
+    JointPmf,
     build_network,
     complete_network,
     empirical_pmf,
@@ -131,3 +132,36 @@ def test_sample_csv_errors(tmp_path):
     empty.write_text("run,depth,x_1\n")
     with pytest.raises(ValueError, match="no sample rows"):
         SampleMatrix.from_csv(str(empty))
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("1,1,0\n1,1,5\n", "duplicate"),
+        ("1,1,3\n0,1,7\n", ">= 1"),
+        ("1,0,3\n1,1,7\n", ">= 1"),
+        ("1,1,-4\n", "negative"),
+        ("1,1,2\n1,2,3\n2,1,2\n", "missing"),
+    ],
+)
+def test_sample_csv_rejects_bad_rows(tmp_path, body, match):
+    path = tmp_path / "samples.csv"
+    path.write_text("run,depth,x_1\n" + body)
+    with pytest.raises(ValueError, match=match):
+        SampleMatrix.from_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        # (1, 0) is missing, so the row count still matches the 2 x 2 table
+        ("0,0,0.25\n0,0,0.25\n0,1,0.25\n1,1,0.25\n", "duplicate"),
+        # -1 would index the last cell, again with the row count matching
+        ("0,0,0.25\n0,1,0.25\n1,0,0.25\n-1,1,0.25\n", "negative"),
+    ],
+)
+def test_pmf_csv_rejects_bad_cells(tmp_path, body, match):
+    path = tmp_path / "pmf.csv"
+    path.write_text("x_1,x_2,prob\n" + body)
+    with pytest.raises(ValueError, match=match):
+        JointPmf.from_csv(str(path))
