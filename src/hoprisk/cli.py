@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("-L", "--depth", type=int, required=True)
     p_exact.add_argument("--out", required=True)
     p_exact.add_argument("--cap-override", type=int, default=None,
-                         help=f"raise the {DEFAULT_NODE_CAP}-node exact-engine cap")
+                         help=f"raise the {DEFAULT_NODE_CAP}-node cap (the cell budget still applies)")
     p_exact.set_defaults(func=cmd_exact)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo runs of the propagation")

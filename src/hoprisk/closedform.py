@@ -26,9 +26,8 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import binom
 
-from .exact import ExactEngineCapError
+from .exact import _MAX_CELLS, ExactEngineCapError
 from .pmf import JointPmf
 
 __all__ = [
@@ -39,11 +38,6 @@ __all__ = [
     "star_pmf",
     "bipartite_pmf",
 ]
-
-# float64 cells of state array plus binomial tables (128 MiB); the round
-# contraction needs a few state-sized temporaries on top
-_MAX_CELLS = 1 << 24
-
 
 @dataclass(frozen=True)
 class CompleteHomogParams:
@@ -98,6 +92,14 @@ def _binom_pmf(n: int, h: np.ndarray | float) -> np.ndarray:
     return out
 
 
+def _binom_start(n: int, p: float) -> np.ndarray:
+    """``out[k]`` = P(Binomial(n, p) = k): row n of ``_binom_pmf`` in O(n) memory."""
+    out = np.ones(1)
+    for _ in range(n):
+        out = np.append((1.0 - p) * out, 0.0) + np.append(0.0, p * out)
+    return out
+
+
 def _chain_binomial(
     sizes: Sequence[int], starts: Sequence[np.ndarray], q: Sequence[Sequence[float]], depth: int
 ) -> np.ndarray:
@@ -116,6 +118,7 @@ def _chain_binomial(
         (sizes[t] + 1) ** 2 * math.prod(sizes[s] + 1 for s in hitters[t])
         for t in range(k)
     )
+    # the round contraction needs a few state-sized temporaries on top
     if state_cells + table_cells > _MAX_CELLS:
         raise ExactEngineCapError(
             f"class sizes {tuple(sizes)} need {state_cells + table_cells} float64 "
@@ -181,7 +184,7 @@ def complete_homog_pmf(params: CompleteHomogParams) -> JointPmf:
     """
     sizes = params.type_sizes
     n = sum(sizes)
-    start = binom.pmf(np.arange(n + 1), n, params.p)
+    start = _binom_start(n, params.p)
     counts = _chain_binomial((n,), [start], [[params.q]], params.depth)
     ways = reduce(
         np.multiply.outer,
@@ -193,7 +196,7 @@ def complete_homog_pmf(params: CompleteHomogParams) -> JointPmf:
 
 
 def _two_class_pmf(params: TwoClassParams, sizes: tuple[int, int], depth: int) -> JointPmf:
-    starts = [binom.pmf(np.arange(n + 1), n, p) for n, p in zip(sizes, (params.p1, params.p2))]
+    starts = [_binom_start(n, p) for n, p in zip(sizes, (params.p1, params.p2))]
     q = ((0.0, params.q12), (params.q21, 0.0))
     return JointPmf(tuple(n + 1 for n in sizes), _chain_binomial(sizes, starts, q, depth))
 

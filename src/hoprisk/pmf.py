@@ -30,6 +30,8 @@ class JointPmf:
         arr = np.asarray(self.probs, dtype=float)
         if arr.shape != tuple(self.dims):
             raise ValueError(f"probs shape {arr.shape} != dims {self.dims}")
+        if not np.isfinite(arr).all():
+            raise ValueError("probabilities must be finite")
         if arr.size and arr.min() < 0.0:
             raise ValueError(f"negative probability: {arr.min()}")
         total = float(arr.sum())

@@ -111,6 +111,10 @@ class SampleMatrix:
         for k, l, xs in rows:
             counts[k - 1, l - 1] = xs
         sizes = tuple(int(s) for s in type_sizes) if type_sizes is not None else None
+        if sizes is not None and len(sizes) != m:
+            raise ValueError(f"{path}: {m} count columns but {len(sizes)} type sizes")
+        if sizes is not None and (counts > np.array(sizes)).any():
+            raise ValueError(f"{path}: a count exceeds its type size {sizes}")
         return cls(counts=counts, depth=depth, master_seed=None, type_sizes=sizes)
 
 

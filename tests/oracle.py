@@ -4,8 +4,8 @@ Enumerates every outcome of the underlying Bernoulli experiment: one direct
 bit per node and one attempt bit per directed edge, then propagates
 deterministically round by round (a node compromised at round r fires its
 attempt bits at intact neighbors in round r+1, for at most `depth` rounds).
-Completely independent of the backward-elimination recursion; cost is
-2^N * 2^(2|E|), so keep it to tiny graphs.
+Completely independent of the exact engine's forward (compromised set, front)
+chain; cost is 2^N * 2^(2|E|), so keep it to tiny graphs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import numpy as np
 from hoprisk import JointPmf, NetworkModel
 
 
-def brute_force_joint_pmf(net: NetworkModel, depth: int) -> JointPmf:
+def brute_force_set_probs(net: NetworkModel, depth: int) -> np.ndarray:
+    """``out[mask]``: probability that exactly the nodes at the bit positions
+    of ``mask`` (positions in ``net.node_ids``) end up compromised."""
     n = net.n_nodes
     idx = net.index_of
     directed = sorted(net.q.keys())
@@ -53,7 +55,13 @@ def brute_force_joint_pmf(net: NetworkModel, depth: int) -> JointPmf:
             compromised |= new
             front = new
         np.add.at(mass_by_set, compromised, w_direct * w_attempt)
+    return mass_by_set
 
+
+def brute_force_joint_pmf(net: NetworkModel, depth: int) -> JointPmf:
+    n = net.n_nodes
+    idx = net.index_of
+    mass_by_set = brute_force_set_probs(net, depth)
     type_masks = [0] * net.num_types
     for v in net.node_ids:
         type_masks[net.types[idx[v]]] |= 1 << idx[v]

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import numpy as np
@@ -9,13 +11,14 @@ from hoprisk import (
     build_network,
     complete_network,
     event_prob,
+    induced_subnetwork,
     joint_pmf,
     one_hop_prob,
     r_prob,
 )
 from hoprisk.stats import check_orthant_monotone
 
-from oracle import brute_force_joint_pmf, random_network
+from oracle import brute_force_joint_pmf, brute_force_set_probs, random_network
 from tables import TABLE_GRIDS
 
 
@@ -83,6 +86,38 @@ def test_event_prob_forced_path():
     )
     assert event_prob(net, {0, 1, 2}, 2) == pytest.approx(0.5)
     assert event_prob(net, {0, 1}, 2) == 0.0
+
+
+def _nodes(net, mask):
+    return {v for i, v in enumerate(net.node_ids) if mask >> i & 1}
+
+
+def test_event_prob_matches_oracle_for_every_set():
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        net = random_network(rng)
+        depth = int(rng.integers(0, 4))
+        want = brute_force_set_probs(net, depth)
+        for mask in range(1 << net.n_nodes):
+            assert abs(event_prob(net, _nodes(net, mask), depth) - want[mask]) < 1e-12
+
+
+def test_r_prob_on_proper_subsets_matches_subnetwork_and_oracle():
+    rng = np.random.default_rng(32)
+    for _ in range(25):
+        net = random_network(rng, max_nodes=6, max_edges=9)
+        active = _nodes(net, int(rng.integers(0, (1 << net.n_nodes) - 1)))
+        sub = induced_subnetwork(net, active)
+        source_mask = int(rng.integers(0, 1 << sub.n_nodes))
+        target_mask = source_mask | int(rng.integers(0, 1 << sub.n_nodes))
+        target, sources = _nodes(sub, target_mask), _nodes(sub, source_mask)
+        depth = int(rng.integers(1, 4))
+        got = r_prob(net, active, target, sources, depth)
+        assert got == r_prob(sub, active, target, sources, depth)
+        assert one_hop_prob(net, active, target, sources) == r_prob(sub, active, target, sources, 1)
+        # exactly ``sources`` compromised directly: p is their indicator
+        forced = replace(sub, p=tuple(float(v in sources) for v in sub.node_ids))
+        assert abs(got - brute_force_set_probs(forced, depth)[target_mask]) < 1e-12
 
 
 def test_joint_pmf_reproduces_reference_grids(example_net):
@@ -178,6 +213,19 @@ def test_node_cap_refusal():
     # a raised cap admits the same network
     pmf = joint_pmf(small, 1, max_nodes=7)
     assert abs(pmf.probs.sum() - 1.0) < 1e-9
+
+
+def test_oversized_network_refused_before_allocating():
+    path = build_network([(i, 0, 0.1) for i in range(20)], [(i, i + 1) for i in range(19)], q=0.2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExactEngineCapError, match="simulate"):
+            joint_pmf(path, 2, max_nodes=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the state alone would be 3^20 doubles, about 26 GiB
+    assert peak < 1 << 16
 
 
 def test_unknown_node_in_target(example_net):

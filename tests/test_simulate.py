@@ -165,3 +165,24 @@ def test_pmf_csv_rejects_bad_cells(tmp_path, body, match):
     path.write_text("x_1,x_2,prob\n" + body)
     with pytest.raises(ValueError, match=match):
         JointPmf.from_csv(str(path))
+
+
+@pytest.mark.parametrize("sizes, match", [((3,), "exceeds"), ((9, 9), "type sizes")])
+def test_sample_csv_checks_counts_against_type_sizes(tmp_path, sizes, match):
+    path = tmp_path / "samples.csv"
+    path.write_text("run,depth,x_1\n1,1,9\n")
+    with pytest.raises(ValueError, match=match) as err:
+        SampleMatrix.from_csv(str(path), type_sizes=sizes)
+    assert str(path) in str(err.value)
+    # a count equal to its type size fits
+    assert SampleMatrix.from_csv(str(path), type_sizes=(9,)).type_sizes == (9,)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_pmf_rejects_non_finite_probabilities(tmp_path, bad):
+    with pytest.raises(ValueError, match="finite"):
+        JointPmf((2,), np.array([float(bad), 1.0]))
+    path = tmp_path / "pmf.csv"
+    path.write_text(f"x_1,prob\n0,{bad}\n1,1.0\n")
+    with pytest.raises(ValueError, match="finite"):
+        JointPmf.from_csv(str(path))
