@@ -27,7 +27,7 @@ from .network import (
 )
 from .pmf import JointPmf
 from .scoring import parse_rules, score_distribution
-from .simulate import SampleMatrix, simulate_runs
+from .simulate import STREAM, SampleMatrix, simulate_runs
 from .stats import check_orthant_monotone, marginal_moments, pairwise_correlations
 
 PROG = "hoprisk"
@@ -100,7 +100,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         args.out,
         "simulate",
         {"network": args.network},
-        {"depth": args.depth, "runs": args.runs, "seed": seed},
+        {"depth": args.depth, "runs": args.runs, "seed": seed, "stream": STREAM},
         [args.out],
     )
     return 0

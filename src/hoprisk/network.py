@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "Adjacency",
     "NetworkModel",
     "build_network",
     "induced_subnetwork",
@@ -37,6 +38,26 @@ Edge = tuple[int, int]
 
 def _canon(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+@dataclass(frozen=True, eq=False)
+class Adjacency:
+    """A network's arrays, indexed by node position in ``node_ids``.
+
+    Directed edge e runs from node ``src[e]`` with attempt probability
+    ``q[e]``; edges are sorted by (target, source). ``targets`` lists the
+    nodes with in-edges, ascending; the edges into ``targets[i]`` run from
+    ``starts[i]`` up to ``starts[i + 1]`` (the last ones to the end). ``p``
+    holds the direct-compromise probabilities and ``onehot[i, t]`` is 1.0
+    when node i has type t, else 0.0.
+    """
+
+    src: np.ndarray
+    q: np.ndarray
+    targets: np.ndarray
+    starts: np.ndarray
+    p: np.ndarray
+    onehot: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,22 +103,24 @@ class NetworkModel:
         return {v: tuple(sorted(ns)) for v, ns in nbr.items()}
 
     @cached_property
-    def in_edges(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        """Per target node: ``(source, q[source -> target])`` sorted by source."""
-        inc: dict[int, list[tuple[int, float]]] = {v: [] for v in self.node_ids}
-        for u, v in self.edges:
-            inc[v].append((u, self.q[(u, v)]))
-            inc[u].append((v, self.q[(v, u)]))
-        return {v: tuple(sorted(es)) for v, es in inc.items()}
-
-    @cached_property
-    def out_edges(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        """Per source node: ``(target, q[source -> target])`` sorted by target."""
-        out: dict[int, list[tuple[int, float]]] = {v: [] for v in self.node_ids}
-        for u, v in self.edges:
-            out[u].append((v, self.q[(u, v)]))
-            out[v].append((u, self.q[(v, u)]))
-        return {v: tuple(sorted(es)) for v, es in out.items()}
+    def csr(self) -> Adjacency:
+        """The directed edges as arrays, sorted by (target, source) position."""
+        idx = self.index_of
+        arcs = sorted(
+            (idx[v], idx[u], self.q[(u, v)])
+            for a, b in self.edges
+            for u, v in ((a, b), (b, a))
+        )
+        dst = np.array([a[0] for a in arcs], dtype=np.intp)
+        targets, starts = np.unique(dst, return_index=True)
+        return Adjacency(
+            src=np.array([a[1] for a in arcs], dtype=np.intp),
+            q=np.array([a[2] for a in arcs], dtype=float),
+            targets=targets,
+            starts=starts,
+            p=np.array(self.p, dtype=float),
+            onehot=np.eye(self.num_types)[list(self.types)],
+        )
 
     def degree(self, node: int) -> int:
         return len(self.neighbors[node])

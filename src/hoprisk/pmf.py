@@ -106,4 +106,7 @@ class JointPmf:
         probs = np.zeros(dims)
         for idx, prob in rows:
             probs[idx] = prob
-        return cls(dims, probs)
+        try:
+            return cls(dims, probs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -1,25 +1,54 @@
 """Seeded Monte Carlo simulation of L-hop compromise propagation.
 
-Each run draws the directly compromised nodes, then plays the propagation
-forward round by round: the current front gets one independent attempt at
-every intact node it can reach, the newly compromised nodes become the next
-front, and the old front retires (its edges can never fire again). Runs use
-substreams derived from ``(master_seed, run index)``, so results are
-bit-identical regardless of execution order or parallelism.
+A node is in the front in exactly one round, so each directed edge
+``l -> j`` gets at most one attempt, and whether it gets one never depends on
+its own draw. A run can therefore draw everything up front: the direct hits
+``u < p`` and, per directed edge, whether an attempt along it would succeed
+(``u < q``, the edge is *open*). The nodes down after L rounds are those
+within L open hops of a direct hit, and round h's front is the nodes exactly
+h hops away. Runs are played in blocks as K x N boolean matrices, one
+gather and one ``np.logical_or.reduceat`` by target per round.
+
+Stream layout ``philox4x64-slots-v1`` (:data:`STREAM`): one Philox-4x64
+stream keyed by ``SeedSequence(master_seed)``, one double per 64-bit output.
+Run k reads the S consecutive doubles at ``[k * S, (k + 1) * S)``, where
+S = N + |E_dir| rounded up to a multiple of 4 (one counter step):
+
+- slots ``0 .. N-1``: the direct draws, in node order;
+- slots ``N .. N + |E_dir| - 1``: one draw per directed edge, sorted by
+  (target, source) position;
+- the rest: padding, unused.
+
+A run's draws do not depend on the depth, the run count or the block size,
+and networks with the same nodes and edges share the layout, so p, q and
+depth variants at one seed are coupled (common random numbers).
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .network import NetworkModel
 from .pmf import JointPmf
 
-__all__ = ["CompromiseTrace", "SampleMatrix", "single_run", "simulate_runs", "empirical_pmf"]
+__all__ = [
+    "STREAM",
+    "CompromiseTrace",
+    "SampleMatrix",
+    "single_run",
+    "simulate_runs",
+    "empirical_pmf",
+]
+
+# Version of the seed -> samples mapping below; recorded in manifests.
+STREAM = "philox4x64-slots-v1"
+
+# Uniforms drawn and propagated at a time; bounds memory for any run count.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,73 +147,87 @@ class SampleMatrix:
         return cls(counts=counts, depth=depth, master_seed=None, type_sizes=sizes)
 
 
+def _slots(net: NetworkModel) -> int:
+    """Uniforms per run: N direct draws and one per directed edge, padded to
+    a whole number of Philox counter steps (4 doubles)."""
+    return -(-(net.n_nodes + net.csr.src.size) // 4) * 4
+
+
+def _rounds(net: NetworkModel, depth: int, u: np.ndarray) -> Iterator[np.ndarray]:
+    """Play a block of runs, one row of uniforms ``u`` per run.
+
+    Yields the nodes first down in rounds 0, 1, ... as K x N boolean masks;
+    stops after ``depth`` rounds, or earlier once every run's front is empty.
+    """
+    g = net.csr
+    n = net.n_nodes
+    front = u[:, :n] < g.p
+    open_ = u[:, n : n + g.src.size] < g.q
+    down = front.copy()
+    yield front
+    for _ in range(depth):
+        if not front.any():
+            return
+        hit = np.zeros_like(front)
+        fire = front[:, g.src] & open_
+        hit[:, g.targets] = np.logical_or.reduceat(fire, g.starts, axis=1)
+        front = hit & ~down
+        down |= front
+        yield front
+
+
+def _tally(net: NetworkModel, depth: int, rounds: Iterable[np.ndarray]) -> np.ndarray:
+    """``counts[k, l, t]``: type-t nodes of run k down after round l = 0..depth."""
+    per_round = [new @ net.csr.onehot for new in rounds]
+    counts = np.zeros((len(per_round[0]), depth + 1, net.num_types), dtype=np.int64)
+    counts[:, : len(per_round)] = np.stack(per_round, axis=1)
+    return np.cumsum(counts, axis=1, out=counts)
+
+
 def single_run(net: NetworkModel, depth: int, rng: np.random.Generator) -> CompromiseTrace:
     """Simulate one realization of ``depth`` rounds of propagation.
 
-    Attempt draws are consumed in a fixed order (targets ascending, attackers
-    ascending within a target), one batch per round, so a given generator
-    state always yields the same trace.
+    Draws one run's slots from ``rng``; on ``run_rng(seed, k, net)`` this is
+    run k of ``simulate_runs(net, depth, runs, seed)``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    idx = net.index_of
-    m = net.num_types
-    draws = rng.random(net.n_nodes)
-    front = {v for v in net.node_ids if draws[idx[v]] < net.p[idx[v]]}
-    compromised = set(front)
-    newly = [frozenset(front)]
-    counts = np.zeros((depth + 1, m), dtype=np.int64)
-    for v in front:
-        counts[0, net.types[idx[v]]] += 1
-    for h in range(1, depth + 1):
-        counts[h] = counts[h - 1]
-        new: list[int] = []
-        if front:
-            targets: list[int] = []
-            seg_sizes: list[int] = []
-            flat_q: list[float] = []
-            for j in net.node_ids:
-                if j in compromised:
-                    continue
-                qs = [qlj for (l, qlj) in net.in_edges[j] if l in front]
-                if qs:
-                    targets.append(j)
-                    seg_sizes.append(len(qs))
-                    flat_q.extend(qs)
-            if flat_q:
-                u = rng.random(len(flat_q))
-                hit = u < np.asarray(flat_q)
-                pos = 0
-                for j, size in zip(targets, seg_sizes):
-                    if hit[pos : pos + size].any():
-                        new.append(j)
-                    pos += size
-        for j in new:
-            counts[h, net.types[idx[j]]] += 1
-        compromised.update(new)
-        front = set(new)
-        newly.append(frozenset(new))
+    masks = list(_rounds(net, depth, rng.random((1, _slots(net)))))
+    ids = np.asarray(net.node_ids)
+    newly = [frozenset(ids[new[0]].tolist()) for new in masks]
+    newly += [frozenset()] * (depth + 1 - len(masks))
+    counts = _tally(net, depth, masks)[0]
     return CompromiseTrace(newly_by_depth=tuple(newly), cumulative_counts=counts)
 
 
-def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
-    """Independent generator for one run, derived from (master_seed, run)."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(run_index,))
-    return np.random.Generator(np.random.PCG64(ss))
+def run_rng(master_seed: int, run_index: int, net: NetworkModel) -> np.random.Generator:
+    """The Philox stream of ``master_seed``, positioned at run ``run_index``'s
+    first slot of ``net``'s layout."""
+    bits = np.random.Philox(np.random.SeedSequence(master_seed))
+    bits.advance(run_index * _slots(net) // 4)
+    return np.random.Generator(bits)
 
 
 def simulate_runs(
     net: NetworkModel, depth: int, runs: int, master_seed: int
 ) -> SampleMatrix:
-    """K independent runs; deterministic for fixed (net, depth, runs, seed)."""
+    """K independent runs; deterministic for fixed (net, depth, runs, seed).
+
+    Runs are played in blocks of a fixed number of uniforms, so the working
+    memory does not grow with ``runs``; the result does not depend on the
+    block size.
+    """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    counts = np.zeros((runs, depth, net.num_types), dtype=np.int64)
-    for k in range(runs):
-        trace = single_run(net, depth, run_rng(master_seed, k))
-        counts[k] = trace.cumulative_counts[1:]
+    slots = _slots(net)
+    block = max(1, _BLOCK_CELLS // slots)
+    counts = np.empty((runs, depth, net.num_types), dtype=np.int64)
+    for k0 in range(0, runs, block):
+        k1 = min(runs, k0 + block)
+        u = run_rng(master_seed, k0, net).random((k1 - k0, slots))
+        counts[k0:k1] = _tally(net, depth, _rounds(net, depth, u))[:, 1:]
     return SampleMatrix(
         counts=counts,
         depth=depth,

@@ -139,7 +139,7 @@ def test_criterion_5_monte_carlo_consistency(example_net):
     table = TABLE_GRIDS[2]
     counts = np.zeros(table.shape)
     for k in range(runs):
-        trace = single_run(example_net, depth, run_rng(1905, k))
+        trace = single_run(example_net, depth, run_rng(1905, k, example_net))
         for l in range(depth):
             assert trace.cumulative_set(l) <= trace.cumulative_set(l + 1)
         x1, x2 = trace.cumulative_counts[depth]

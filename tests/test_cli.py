@@ -65,6 +65,8 @@ def test_simulate_row_counts_and_determinism(tmp_path, k5_path):
     assert main(["simulate", "--network", k5_path, "-L", "4", "-K", "1",
                  "--seed", "5", "--out", str(single)]) == 0
     assert len(single.read_text().strip().splitlines()) == 1 + 4
+    manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    assert manifest["parameters"]["stream"] == "philox4x64-slots-v1"
 
 
 def test_simulate_without_seed_echoes_it(tmp_path, k5_path, capsys):
@@ -123,6 +125,13 @@ def test_stats_rejects_unknown_csv(tmp_path, capsys):
     bad.write_text("a,b,c\n1,2,3\n")
     assert main(["stats", "--in", str(bad), "--out", str(tmp_path / "st")]) != 0
     assert "neither" in capsys.readouterr().err
+
+
+def test_stats_names_the_pmf_file_with_a_non_finite_probability(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("x_1,prob\n0,nan\n1,1.0\n")
+    assert main(["stats", "--in", str(bad), "--out", str(tmp_path / "st")]) != 0
+    assert capsys.readouterr().err.startswith(f"error: {bad}: probabilities must be finite")
 
 
 def test_score_command(tmp_path):

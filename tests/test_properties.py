@@ -1,9 +1,10 @@
 """Property tests: the exact engine against the brute-force oracle and the
-lumped engine on generated networks.
+lumped engine on generated networks, and the coupling of Monte Carlo runs.
 
 Examples are derandomized and capped, so every run checks the same cases.
 """
 
+from dataclasses import replace
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hoprisk import (
     complete_homog_pmf,
     complete_network,
     joint_pmf,
+    simulate_runs,
     star_network,
     star_pmf,
 )
@@ -69,3 +71,14 @@ def test_joint_pmf_matches_lumped_engine(shape, sizes, params, depth):
         lumped = bipartite_pmf(two, *sizes, depth)
         net = complete_bipartite_network(*sizes, *params)
     assert_allclose(joint_pmf(net, depth).probs, lumped.probs, atol=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(net=networks(), depth=st.integers(1, 4), seed=st.integers(0, 2**32), data=st.data())
+def test_raising_p_or_q_raises_every_run_at_the_same_seed(net, depth, seed, data):
+    # common random numbers: each run reads the same slots whatever p and q are
+    p_hi = tuple(data.draw(st.floats(pi, 1.0)) for pi in net.p)
+    q_hi = {pair: data.draw(st.floats(qv, 1.0)) for pair, qv in sorted(net.q.items())}
+    base = simulate_runs(net, depth, 64, seed).counts
+    for raised in (replace(net, p=p_hi), replace(net, q=q_hi), replace(net, p=p_hi, q=q_hi)):
+        assert (simulate_runs(raised, depth, 64, seed).counts >= base).all()

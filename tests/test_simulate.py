@@ -1,28 +1,36 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import hoprisk.simulate
 from hoprisk import (
     JointPmf,
+    assign_types_by_degree,
     build_network,
     complete_network,
     empirical_pmf,
+    generate_ba,
     joint_pmf,
     simulate_runs,
     single_run,
+    with_type_probabilities,
 )
 from hoprisk.simulate import SampleMatrix, run_rng
+
+from oracle import random_network
 
 
 def test_single_run_nothing_happens():
     net = complete_network([2, 3], 0.0, 0.9)
-    trace = single_run(net, 3, run_rng(0, 0))
+    trace = single_run(net, 3, run_rng(0, 0, net))
     assert all(s == frozenset() for s in trace.newly_by_depth)
     assert trace.cumulative_counts.sum() == 0
 
 
 def test_single_run_everything_direct():
     net = complete_network([2, 3], 1.0, 0.1)
-    trace = single_run(net, 2, run_rng(0, 0))
+    trace = single_run(net, 2, run_rng(0, 0, net))
     assert trace.newly_by_depth[0] == frozenset(range(5))
     assert tuple(trace.cumulative_counts[0]) == (2, 3)
     assert trace.newly_by_depth[1] == frozenset()
@@ -32,7 +40,7 @@ def test_single_run_deterministic_cascade():
     net = build_network(
         [(0, 0, 1.0), (1, 0, 0.0), (2, 0, 0.0)], [(0, 1), (1, 2)], q=1.0
     )
-    trace = single_run(net, 2, run_rng(1, 0))
+    trace = single_run(net, 2, run_rng(1, 0, net))
     assert trace.newly_by_depth[0] == frozenset({0})
     assert trace.newly_by_depth[1] == frozenset({1})
     assert trace.newly_by_depth[2] == frozenset({2})
@@ -41,12 +49,12 @@ def test_single_run_deterministic_cascade():
 
 def test_single_run_depth_validation(example_net):
     with pytest.raises(ValueError):
-        single_run(example_net, 0, run_rng(0, 0))
+        single_run(example_net, 0, run_rng(0, 0, example_net))
 
 
 def test_trace_invariants_random(example_net):
     for k in range(200):
-        trace = single_run(example_net, 4, run_rng(42, k))
+        trace = single_run(example_net, 4, run_rng(42, k, example_net))
         seen: set[int] = set()
         for newly in trace.newly_by_depth:
             assert not (newly & seen)  # a node falls at most once
@@ -69,6 +77,93 @@ def test_simulate_runs_shape_and_determinism(example_net):
 def test_simulate_single_row(example_net):
     sm = simulate_runs(example_net, 2, 1, master_seed=0)
     assert sm.counts.shape == (1, 2, 2)
+
+
+def _ba30():
+    net = assign_types_by_degree(generate_ba(30, 2, 3, rng_seed=4), 5)
+    return with_type_probabilities(net, [0.1, 0.2], [0.4, 0.3])
+
+
+@pytest.mark.parametrize("make_net", [lambda: complete_network([2, 3], 0.2, 0.1), _ba30])
+def test_counts_do_not_depend_on_the_block_size(monkeypatch, make_net):
+    net = make_net()
+    runs = 300
+    default = simulate_runs(net, 4, runs, master_seed=3).counts
+    slots = hoprisk.simulate._slots(net)
+    for block_runs in (1, 7, runs):
+        monkeypatch.setattr(hoprisk.simulate, "_BLOCK_CELLS", block_runs * slots)
+        assert np.array_equal(simulate_runs(net, 4, runs, master_seed=3).counts, default)
+
+
+@pytest.mark.parametrize("make_net", [lambda: complete_network([2, 3], 0.2, 0.1), _ba30])
+def test_run_k_is_single_run_on_run_rng(monkeypatch, make_net):
+    net = make_net()
+    monkeypatch.setattr(hoprisk.simulate, "_BLOCK_CELLS", 16 * hoprisk.simulate._slots(net))
+    samples = simulate_runs(net, 5, 100, master_seed=21)
+    types = np.asarray(net.types)
+    for k in (0, 1, 15, 16, 57, 99):
+        trace = single_run(net, 5, run_rng(21, k, net))
+        assert np.array_equal(trace.cumulative_counts[1:], samples.counts[k])
+        for depth in range(6):
+            down = sorted(trace.cumulative_set(depth))
+            expected = np.bincount(types[down], minlength=net.num_types)
+            assert np.array_equal(trace.cumulative_counts[depth], expected)
+
+
+def _round_by_round(net, depth, u):
+    """Reference: play the rounds one at a time over one run's slots; each
+    front node attempts every intact neighbour once, with edge (s, t)'s slot."""
+    n = net.n_nodes
+    arcs = sorted((t, s) for a, b in net.edges for s, t in ((a, b), (b, a)))
+    slot = {arc: n + e for e, arc in enumerate(arcs)}
+    front = {i for i in range(n) if u[i] < net.p[i]}
+    down = set(front)
+    newly = [frozenset(front)]
+    for _ in range(depth):
+        front = {t for t, s in arcs
+                 if s in front and t not in down and u[slot[(t, s)]] < net.q[(s, t)]}
+        down |= front
+        newly.append(frozenset(front))
+    return tuple(newly)
+
+
+def test_kernel_matches_round_by_round_play():
+    rng = np.random.default_rng(7)
+    for case in range(200):
+        net = random_network(rng, max_nodes=7, max_edges=12)
+        depth = int(rng.integers(1, 6))
+        u = run_rng(case, 3, net).random(hoprisk.simulate._slots(net))
+        trace = single_run(net, depth, run_rng(case, 3, net))
+        assert trace.newly_by_depth == _round_by_round(net, depth, u)
+
+
+def test_shallower_runs_are_a_prefix_of_deeper_ones():
+    net = _ba30()
+    for depth in (1, 3):
+        shallow = simulate_runs(net, depth, 200, master_seed=8).counts
+        deep = simulate_runs(net, depth + 2, 200, master_seed=8).counts
+        assert np.array_equal(shallow, deep[:, :depth])
+
+
+def test_memory_does_not_grow_with_the_run_count():
+    # the working set is a fixed number of blocks; only the output grows with K
+    net = build_network(
+        [(0, 0, 0.3), (1, 0, 0.5), (2, 1, 0.4)], [(0, 1), (1, 2)], q=0.6
+    )
+    tracemalloc.start()
+    try:
+        samples = simulate_runs(net, 2, 1_000_000, master_seed=11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - samples.counts.nbytes < 16 * 2**20
+
+
+def test_network_without_edges_has_only_direct_hits():
+    net = build_network([(0, 0, 0.5), (1, 1, 0.5)], [])
+    counts = simulate_runs(net, 3, 50, master_seed=2).counts
+    assert (counts == counts[:, :1]).all()
+    assert 0 < counts.sum() < 50 * 3 * 2
 
 
 def test_empirical_pmf_point_mass():
