@@ -2,18 +2,25 @@
 
 Counts here are small integers with heavy ties, so the rank statistics use
 the tie-corrected variants: Kendall's tau-b and Spearman's rho on average
-ranks. When a margin is constant, all three correlation measures are
-reported as explicitly undefined rather than silently zero.
+ranks. All three correlations come from the r x c contingency table of the
+distinct x and y values (Agresti, *Categorical Data Analysis*, sec. 2.4):
+Kendall's S sums each cell times the concordant minus discordant cells in
+the rows above it; Pearson and Spearman are the table-weighted correlations
+of the distinct values and of their mid-ranks. That costs O(n log n + r c)
+for n samples; a table above the exact engines' cell budget is refused
+before it is allocated. When a margin is constant, all three correlation
+measures are reported as explicitly undefined rather than silently zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _sps
 
+from .exact import _MAX_CELLS
 from .pmf import JointPmf
 from .simulate import SampleMatrix
 
@@ -101,24 +108,75 @@ def marginal_moments(
     return _sample_moments(source, depth)
 
 
+def _sorted_firsts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a sorted, and a mask of the first entry of each distinct value."""
+    s = np.sort(a)
+    return s, np.concatenate(([True], s[1:] != s[:-1]))
+
+
+def _kendall_s(table: np.ndarray) -> int:
+    """Kendall's S = sum_ij t_ij (C_ij - D_ij), where C_ij (D_ij) counts the
+    samples in the rows above row i and the columns left (right) of j.
+
+    With A_ij the samples in column j above row i and G_ij = sum_{l<=j} A_il,
+    C_ij - D_ij = 2 G_ij - A_ij - G_i,last.
+    """
+    above = table.cumsum(axis=0)
+    above -= table
+    s = -int(np.vdot(table, above))
+    above.cumsum(axis=1, out=above)
+    return s + 2 * int(np.vdot(table, above)) - int(table.sum(axis=1) @ above[:, -1])
+
+
 def correlations(x: Sequence[float], y: Sequence[float]) -> DependenceSummary:
     """Dependence between two count sequences.
 
     Returns the all-undefined summary when either margin is constant
-    (correlation with a constant has no value).
+    (correlation with a constant has no value). Raises ``ValueError`` on
+    non-finite input and when the contingency table of the distinct values
+    is above the cell budget.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.ndim != 1 or xa.shape != ya.shape:
         raise ValueError("x and y must be 1-D of equal length")
-    if xa.size < 2:
+    n = xa.size
+    if n < 2:
         raise ValueError("need at least 2 samples")
-    if np.all(xa == xa[0]) or np.all(ya == ya[0]):
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValueError("x and y must be finite")
+    (xs, x_first), (ys, y_first) = _sorted_firsts(xa), _sorted_firsts(ya)
+    r, c = np.count_nonzero(x_first), np.count_nonzero(y_first)
+    if r == 1 or c == 1:
         return DependenceSummary(None, None, None)
-    pearson = float(np.corrcoef(xa, ya)[0, 1])
-    kendall = float(_sps.kendalltau(xa, ya).statistic)
-    spearman = float(_sps.spearmanr(xa, ya).statistic)
-    return DependenceSummary(pearson, kendall, spearman)
+    # the table and one working copy of it are the largest arrays held
+    if 2 * r * c > _MAX_CELLS:
+        raise ValueError(
+            f"x has {r} distinct values and y has {c}: their contingency table "
+            f"and its working copy need {2 * r * c} cells, above the budget of "
+            f"{_MAX_CELLS}"
+        )
+    xv, yv = xs[x_first], ys[y_first]
+    table = np.bincount(xv.searchsorted(xa) * c + yv.searchsorted(ya), minlength=r * c)
+    table = table.reshape(r, c)
+    a, b = table.sum(axis=1), table.sum(axis=0)
+
+    # pairs not tied in x (n0 - n1) and not tied in y (n0 - n2)
+    n0 = n * (n - 1) // 2
+    x_pairs = n0 - int(a @ (a - 1)) // 2
+    y_pairs = n0 - int(b @ (b - 1)) // 2
+    tau = _kendall_s(table) / math.sqrt(x_pairs) / math.sqrt(y_pairs)
+
+    # row 0: the values, row 1: their mid-ranks; centred, they give Pearson
+    # and Spearman
+    u = np.array([xv, a.cumsum() - (a - 1) / 2])
+    v = np.array([yv, b.cumsum() - (b - 1) / 2])
+    u -= (u @ a / n)[:, None]
+    v -= (v @ b / n)[:, None]
+    pearson, spearman = np.clip(
+        ((u @ table) * v).sum(axis=1) / np.sqrt(u**2 @ a * (v**2 @ b)), -1.0, 1.0
+    )
+    return DependenceSummary(float(pearson), min(1.0, max(-1.0, tau)), float(spearman))
 
 
 def pairwise_correlations(

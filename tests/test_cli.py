@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +121,34 @@ def test_stats_from_comonotone_samples(tmp_path):
     assert main(["stats", "--in", str(sample_path), "--out", prefix]) == 0
     corr = (tmp_path / "st.correlations.csv").read_text().strip().splitlines()
     assert [float(v) for v in corr[1].split(",")[2:]] == [1.0, 1.0, 1.0]
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_import_loads_no_scipy_module():
+    done = _python("import sys, hoprisk; print([m for m in sys.modules if m.startswith('scipy')])")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_stats_runs_with_scipy_blocked(tmp_path, k5_path):
+    samples = str(tmp_path / "samples.csv")
+    assert main(["simulate", "--network", k5_path, "-L", "3", "-K", "300", "--seed", "4",
+                 "--out", samples]) == 0
+    outputs = {}
+    for label, block in (("free", ""), ("blocked", "sys.modules['scipy'] = None; ")):
+        prefix = str(tmp_path / label)
+        done = _python(f"import sys; {block}from hoprisk.cli import main; "
+                       f"sys.exit(main(['stats', '--in', {samples!r}, '--out', {prefix!r}]))")
+        assert done.returncode == 0, done.stderr
+        outputs[label] = [open(prefix + ext, "rb").read()
+                          for ext in (".moments.csv", ".correlations.csv")]
+    assert outputs["blocked"] == outputs["free"]
+    assert b"undefined" not in outputs["free"][1]
 
 
 def test_stats_rejects_unknown_csv(tmp_path, capsys):

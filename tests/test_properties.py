@@ -1,29 +1,43 @@
 """Property tests: the exact engine against the brute-force oracle and the
-lumped engine on generated networks, and the coupling of Monte Carlo runs.
+lumped engine on generated networks, the coupling of Monte Carlo runs, the
+rank correlations against scipy, and CSV round-trips.
 
 Examples are derandomized and capped, so every run checks the same cases.
 """
 
+import math
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats as sps
 
 from hoprisk import (
     CompleteHomogParams,
+    JointPmf,
+    SampleMatrix,
     TwoClassParams,
+    assign_types_by_degree,
     bipartite_pmf,
     build_network,
     complete_bipartite_network,
     complete_homog_pmf,
     complete_network,
+    correlations,
+    generate_ba,
     joint_pmf,
+    pairwise_correlations,
     simulate_runs,
     star_network,
     star_pmf,
+    with_type_probabilities,
 )
+from hoprisk.exact import _MAX_CELLS
 
 from oracle import brute_force_joint_pmf
 
@@ -82,3 +96,85 @@ def test_raising_p_or_q_raises_every_run_at_the_same_seed(net, depth, seed, data
     base = simulate_runs(net, depth, 64, seed).counts
     for raised in (replace(net, p=p_hi), replace(net, q=q_hi), replace(net, p=p_hi, q=q_hi)):
         assert (simulate_runs(raised, depth, 64, seed).counts >= base).all()
+
+
+def _assert_matches_scipy(dep, x, y):
+    if len(set(x)) == 1 or len(set(y)) == 1:
+        assert dep.undefined
+        return
+    assert dep.pearson == pytest.approx(np.corrcoef(x, y)[0, 1], abs=1e-12)
+    assert dep.kendall == pytest.approx(sps.kendalltau(x, y).statistic, abs=1e-12)
+    assert dep.spearman == pytest.approx(sps.spearmanr(x, y).statistic, abs=1e-12)
+
+
+@st.composite
+def column_pairs(draw, values):
+    n = draw(st.integers(2, 300))
+    return tuple(draw(st.lists(values, min_size=n, max_size=n)) for _ in range(2))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(xy=column_pairs(st.integers(0, 30)))
+def test_correlations_match_scipy_on_tied_counts(xy):
+    _assert_matches_scipy(correlations(*xy), *xy)
+
+
+# rounded to 9 decimals so that no squared deviation underflows
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(xy=column_pairs(st.floats(-1e3, 1e3).map(lambda v: round(v, 9))))
+def test_correlations_match_scipy_on_floats(xy):
+    _assert_matches_scipy(correlations(*xy), *xy)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32), top_k=st.integers(2, 12),
+       p=st.tuples(probs, probs), q=st.tuples(probs, probs))
+def test_pairwise_correlations_match_scipy_on_a_ba_sample(seed, top_k, p, q):
+    net = with_type_probabilities(assign_types_by_degree(generate_ba(40, 2, 3, seed), top_k), p, q)
+    samples = simulate_runs(net, 5, 200, seed)
+    for depth in range(1, 6):
+        block = samples.at_depth(depth)
+        _assert_matches_scipy(pairwise_correlations(samples, depth)[(0, 1)],
+                              block[:, 0].tolist(), block[:, 1].tolist())
+
+
+def test_oversized_contingency_table_refused_before_allocating():
+    # the fewest samples whose table (plus its working copy) is over budget
+    n = math.isqrt(_MAX_CELLS // 2) + 1
+    x = np.arange(n, dtype=float)
+    y = x[::-1].copy()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"x has {n} distinct values and y has {n}"):
+            correlations(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table and its working copy would be about 128 MiB
+    assert peak < 1 << 16
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4)), data=st.data())
+def test_sample_csv_round_trip(tmp_path_factory, shape, data):
+    counts = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=math.prod(shape),
+                                         max_size=math.prod(shape)))).reshape(shape)
+    path = str(tmp_path_factory.mktemp("samples") / "s.csv")
+    SampleMatrix(counts, shape[1], 7, None).to_csv(path)
+    back = SampleMatrix.from_csv(path)
+    assert back.counts.dtype == np.int64 and back.depth == shape[1]
+    assert np.array_equal(back.counts, counts)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(dims=st.lists(st.integers(1, 5), min_size=1, max_size=3), data=st.data())
+def test_pmf_csv_round_trip(tmp_path_factory, dims, data):
+    weights = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=math.prod(dims),
+                                          max_size=math.prod(dims))))
+    weights[data.draw(st.integers(0, weights.size - 1))] = 1.0
+    pmf = JointPmf(tuple(dims), (weights / weights.sum()).reshape(dims))
+    path = str(tmp_path_factory.mktemp("pmf") / "p.csv")
+    pmf.to_csv(path)
+    back = JointPmf.from_csv(path)
+    assert back.dims == pmf.dims
+    assert np.array_equal(back.probs, pmf.probs)

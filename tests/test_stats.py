@@ -87,6 +87,14 @@ def test_correlations_validation():
         correlations([1, 2], [1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_correlations_reject_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        correlations([0, bad, 1, 2], [0, 1, 2, 2])
+    with pytest.raises(ValueError, match="finite"):
+        correlations([0, 1, 2, 2], [0, 1, bad, 2])
+
+
 def test_correlations_independent_when_no_propagation():
     net = complete_network([2, 3], 0.2, 0.0)
     sm = simulate_runs(net, 1, 100_000, master_seed=5)
