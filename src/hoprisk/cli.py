@@ -8,6 +8,7 @@ written next to each output file.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -28,7 +29,7 @@ from .network import (
 from .pmf import JointPmf
 from .scoring import parse_rules, score_distribution
 from .simulate import STREAM, SampleMatrix, simulate_runs
-from .stats import check_orthant_monotone, marginal_moments, pairwise_correlations
+from .stats import _depth_moments, check_orthant_monotone, marginal_moments, pairwise_correlations
 
 PROG = "hoprisk"
 
@@ -117,12 +118,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if header.startswith("run,depth,"):
         samples = SampleMatrix.from_csv(args.input)
         moments_path = args.out + ".moments.csv"
+        mean, sd = _depth_moments(samples.counts)
         with open(moments_path, "w", encoding="utf-8") as fh:
             fh.write("depth,type,mean,sd\n")
-            for l in range(1, samples.depth + 1):
-                summary = marginal_moments(samples, l)
-                for t, tm in enumerate(summary.per_type):
-                    fh.write(f"{l},{t + 1},{tm.mean:.17g},{tm.sd:.17g}\n")
+            for l, (means, sds) in enumerate(zip(mean.tolist(), sd.tolist()), start=1):
+                for t, (m, s) in enumerate(zip(means, sds), start=1):
+                    fh.write(f"{l},{t},{m:.17g},{s:.17g}\n")
         outputs.append(moments_path)
         corr_path = args.out + ".correlations.csv"
         with open(corr_path, "w", encoding="utf-8") as fh:
@@ -342,9 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ExactEngineCapError as exc:

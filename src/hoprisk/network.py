@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -105,17 +105,18 @@ class NetworkModel:
     @cached_property
     def csr(self) -> Adjacency:
         """The directed edges as arrays, sorted by (target, source) position."""
-        idx = self.index_of
-        arcs = sorted(
-            (idx[v], idx[u], self.q[(u, v)])
-            for a, b in self.edges
-            for u, v in ((a, b), (b, a))
-        )
-        dst = np.array([a[0] for a in arcs], dtype=np.intp)
-        targets, starts = np.unique(dst, return_index=True)
+        pairs = list(self.edges)
+        ends = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs))
+        ends = np.searchsorted(np.array(self.node_ids), ends).reshape(-1, 2)
+        src = np.concatenate((ends[:, 0], ends[:, 1]))
+        dst = np.concatenate((ends[:, 1], ends[:, 0]))
+        arcs = pairs + [(v, u) for u, v in pairs]
+        q = np.fromiter(map(self.q.__getitem__, arcs), float, len(arcs))
+        order = np.lexsort((src, dst))
+        targets, starts = np.unique(dst[order], return_index=True)
         return Adjacency(
-            src=np.array([a[1] for a in arcs], dtype=np.intp),
-            q=np.array([a[2] for a in arcs], dtype=float),
+            src=src[order],
+            q=q[order],
             targets=targets,
             starts=starts,
             p=np.array(self.p, dtype=float),
@@ -127,6 +128,13 @@ class NetworkModel:
 
     def q_value(self, source: int, target: int) -> float:
         return self.q.get((source, target), 0.0)
+
+
+def _first_outside_unit(values: Iterable[float]) -> int | None:
+    """Position of the first value outside [0, 1] (NaN included), or None."""
+    a = np.fromiter(values, float)
+    bad = np.flatnonzero(~((a >= 0.0) & (a <= 1.0)))
+    return int(bad[0]) if bad.size else None
 
 
 def build_network(
@@ -158,9 +166,9 @@ def build_network(
         if t not in types:
             raise ValueError(f"type {t} has no nodes")
     p = tuple(float(n[2]) for n in nodes)
-    for i, pi in enumerate(p):
-        if not 0.0 <= pi <= 1.0:
-            raise ValueError(f"p for node {i} out of [0, 1]: {pi}")
+    i = _first_outside_unit(p)
+    if i is not None:
+        raise ValueError(f"p for node {i} out of [0, 1]: {p[i]}")
 
     id_set = set(ids)
     edges: set[Edge] = set()
@@ -171,23 +179,20 @@ def build_network(
             raise ValueError(f"edge ({u}, {v}) references unknown node")
         edges.add(_canon(u, v))
 
-    qmap: dict[Edge, float] = {}
+    arcs = edges | {(v, u) for u, v in edges}
     if q is None or isinstance(q, (int, float)):
-        fill = 0.0 if q is None else float(q)
-        for u, v in edges:
-            qmap[(u, v)] = fill
-            qmap[(v, u)] = fill
+        qmap = dict.fromkeys(arcs, 0.0 if q is None else float(q))
     else:
-        for (i, j), qij in q.items():
-            if _canon(i, j) not in edges:
-                raise ValueError(f"q given for ({i}, {j}) but {{{i}, {j}}} is not an edge")
-            qmap[(i, j)] = float(qij)
-        for u, v in edges:
-            qmap.setdefault((u, v), 0.0)
-            qmap.setdefault((v, u), 0.0)
-    for pair, qij in qmap.items():
-        if not 0.0 <= qij <= 1.0:
-            raise ValueError(f"q for {pair} out of [0, 1]: {qij}")
+        qmap = {pair: float(qij) for pair, qij in q.items()}
+        if not qmap.keys() <= arcs:
+            i, j = next(pair for pair in q if pair not in arcs)
+            raise ValueError(f"q given for ({i}, {j}) but {{{i}, {j}}} is not an edge")
+        if len(qmap) < len(arcs):
+            qmap.update(dict.fromkeys(arcs - qmap.keys(), 0.0))
+    i = _first_outside_unit(qmap.values())
+    if i is not None:
+        pair = next(islice(qmap, i, None))
+        raise ValueError(f"q for {pair} out of [0, 1]: {qmap[pair]}")
 
     return NetworkModel(
         node_ids=tuple(ids),
@@ -395,6 +400,13 @@ def load_json(path: str) -> NetworkModel:
             q[(e["v"], e["u"])] = e.get("q_vu", 0.0)
     except (TypeError, KeyError) as exc:
         raise ValueError(f"{path}: malformed entry: {exc}") from exc
+    if len(q) < 2 * len(edge_specs):
+        # an edge given twice would overwrite the first one's q values
+        seen: set[frozenset] = set()
+        for u, v in edge_specs:
+            if u != v and frozenset((u, v)) in seen:
+                raise ValueError(f"{path}: duplicate edge ({u}, {v})")
+            seen.add(frozenset((u, v)))
     return build_network(node_specs, edge_specs, q=q)
 
 

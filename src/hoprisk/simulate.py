@@ -26,7 +26,7 @@ depth variants at one seed are coupled (common random numbers).
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -49,6 +49,9 @@ STREAM = "philox4x64-slots-v1"
 
 # Uniforms drawn and propagated at a time; bounds memory for any run count.
 _BLOCK_CELLS = 1 << 18
+
+# Sample CSV rows formatted per write; bounds the text held for any run count.
+_CSV_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,48 +106,67 @@ class SampleMatrix:
         return self.counts[:, depth - 1, :]
 
     def to_csv(self, path: str) -> None:
+        runs, depth, m = self.counts.shape
+        k, l = np.divmod(np.arange(runs * depth, dtype=np.int64), depth)
+        table = np.column_stack((k + 1, l + 1, self.counts.reshape(-1, m)))
+        row = ",".join(["%d"] * (2 + m)) + "\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            header = ["run", "depth"] + [f"x_{t + 1}" for t in range(self.num_types)]
-            fh.write(",".join(header) + "\n")
-            for k in range(self.runs):
-                for l in range(1, self.depth + 1):
-                    row = [k + 1, l] + [int(v) for v in self.counts[k, l - 1]]
-                    fh.write(",".join(str(v) for v in row) + "\n")
+            fh.write(",".join(["run", "depth"] + [f"x_{t + 1}" for t in range(m)]) + "\n")
+            for r0 in range(0, len(table), _CSV_ROWS):
+                chunk = table[r0 : r0 + _CSV_ROWS]
+                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path: str, type_sizes: Sequence[int] | None = None) -> "SampleMatrix":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[:2] != ["run", "depth"]:
-                raise ValueError(f"{path}: not a sample CSV (bad header)")
-            m = len(header) - 2
-            if m < 1 or header[2:] != [f"x_{t + 1}" for t in range(m)]:
-                raise ValueError(f"{path}: not a sample CSV (bad header)")
-            rows = [(int(r[0]), int(r[1]), [int(v) for v in r[2:]]) for r in reader if r]
-        if not rows:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            body = fh.read().split("\n")
+        m = len(header) - 2
+        if m < 1 or header != ["run", "depth"] + [f"x_{t + 1}" for t in range(m)]:
+            raise ValueError(f"{path}: not a sample CSV (bad header)")
+        if not any(body):
             raise ValueError(f"{path}: no sample rows")
-        for k, l, xs in rows:
-            if len(xs) != m:
-                raise ValueError(f"{path}: ragged row for run {k}")
-            if k < 1 or l < 1 or min(xs) < 0:
-                raise ValueError(f"{path}: run {k}, depth {l}: run and depth must be >= 1, "
-                                 "counts non-negative")
-        if len({(k, l) for k, l, _ in rows}) < len(rows):
+        table = _int_table(body, m + 2)
+        if table is None:
+            n, line = next((n, line) for n, line in enumerate(body, start=2)
+                           if line and _int_table([line], m + 2) is None)
+            raise ValueError(f"{path}: line {n}: expected {m + 2} comma-separated "
+                             f"base-10 integers, got {line!r}")
+        run, dep, xs = table[:, 0], table[:, 1], table[:, 2:]
+        bad = (run < 1) | (dep < 1) | (xs < 0).any(axis=1)
+        if bad.any():
+            k, l = table[bad.argmax(), :2]
+            raise ValueError(f"{path}: run {k}, depth {l}: run and depth must be >= 1, "
+                             "counts non-negative")
+        order = np.lexsort((dep, run))
+        cells = table[order, :2]
+        if (cells[1:] == cells[:-1]).all(axis=1).any():
             raise ValueError(f"{path}: duplicate (run, depth) rows")
-        runs = max(r[0] for r in rows)
-        depth = max(r[1] for r in rows)
-        if len(rows) != runs * depth:
+        runs, depth = int(run.max()), int(dep.max())
+        if len(table) != runs * depth:
             raise ValueError(f"{path}: missing (run, depth) rows")
-        counts = np.zeros((runs, depth, m), dtype=np.int64)
-        for k, l, xs in rows:
-            counts[k - 1, l - 1] = xs
+        # distinct cells, as many as the grid has: sorted, they are the grid
+        counts = xs[order].reshape(runs, depth, m)
         sizes = tuple(int(s) for s in type_sizes) if type_sizes is not None else None
         if sizes is not None and len(sizes) != m:
             raise ValueError(f"{path}: {m} count columns but {len(sizes)} type sizes")
         if sizes is not None and (counts > np.array(sizes)).any():
             raise ValueError(f"{path}: a count exceeds its type size {sizes}")
         return cls(counts=counts, depth=depth, master_seed=None, type_sizes=sizes)
+
+
+def _int_table(lines: list[str], width: int) -> np.ndarray | None:
+    """The non-blank ``lines`` as an int64 table, or None unless each holds
+    ``width`` comma-separated base-10 integers."""
+    try:
+        # older numpy reads "2.5" as 2, warning that parsing an integer via
+        # a float is deprecated: refuse it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, DeprecationWarning):
+        return None
+    return table if table.shape[1] == width else None
 
 
 def _slots(net: NetworkModel) -> int:

@@ -67,34 +67,43 @@ class DependenceSummary:
         return self.pearson is None
 
 
+def _summary(
+    means: Sequence[float], sds: Sequence[float], sizes: Sequence[int] | None
+) -> MomentSummary:
+    return MomentSummary(tuple(
+        TypeMoments(m, s, m / n, s / n) if n > 0 else TypeMoments(m, s, 0.0, 0.0)
+        for m, s, n in zip(means, sds, sizes or [0] * len(means))
+    ))
+
+
 def _pmf_moments(pmf: JointPmf) -> MomentSummary:
-    out = []
-    for axis, size in enumerate(pmf.type_sizes):
+    means, sds = [], []
+    for axis in range(pmf.num_types):
         marg = pmf.marginal(axis)
         xs = np.arange(marg.size, dtype=float)
         mean = float((xs * marg).sum())
         var = float(((xs - mean) ** 2 * marg).sum())
-        sd = float(np.sqrt(max(var, 0.0)))
-        if size > 0:
-            out.append(TypeMoments(mean, sd, mean / size, sd / size))
-        else:
-            out.append(TypeMoments(mean, sd, 0.0, 0.0))
-    return MomentSummary(tuple(out))
+        means.append(mean)
+        sds.append(float(np.sqrt(max(var, 0.0))))
+    return _summary(means, sds, pmf.type_sizes)
+
+
+def _depth_moments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and unbiased SD (0 for one run) over the runs of
+    ``counts[k, l, t]``, as (depth, type) arrays.
+
+    Reduces a contiguous (depth, type, run) copy along its last axis, so
+    each entry is the same pairwise sum as a reduction of that one column.
+    """
+    x = counts.transpose(1, 2, 0).astype(float, order="C")
+    mean = x.mean(axis=2)
+    sd = x.std(axis=2, ddof=1) if x.shape[2] > 1 else np.zeros_like(mean)
+    return mean, sd
 
 
 def _sample_moments(samples: SampleMatrix, depth: int) -> MomentSummary:
-    block = samples.at_depth(depth).astype(float)
-    out = []
-    for t in range(samples.num_types):
-        col = block[:, t]
-        mean = float(col.mean())
-        sd = float(col.std(ddof=1)) if col.size > 1 else 0.0
-        size = samples.type_sizes[t] if samples.type_sizes else 0
-        if size > 0:
-            out.append(TypeMoments(mean, sd, mean / size, sd / size))
-        else:
-            out.append(TypeMoments(mean, sd, 0.0, 0.0))
-    return MomentSummary(tuple(out))
+    mean, sd = _depth_moments(samples.at_depth(depth)[:, None])
+    return _summary(mean[0].tolist(), sd[0].tolist(), samples.type_sizes)
 
 
 def marginal_moments(

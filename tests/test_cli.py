@@ -256,3 +256,59 @@ def test_order_check_argument_validation(k5_path, capsys):
     assert main(["order-check", "--network", k5_path, "--depths", "1", "2",
                  "--p-scale", "1.5"]) != 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field", ["2.5", "abc", ""])
+def test_stats_names_the_sample_file_and_line_of_a_non_integer(tmp_path, capsys, field):
+    bad = tmp_path / "samples.csv"
+    bad.write_text(f"run,depth,x_1,x_2\n1,1,{field},2\n")
+    assert main(["stats", "--in", str(bad), "--out", str(tmp_path / "st")]) == 1
+    assert capsys.readouterr().err == (f"error: {bad}: line 2: expected 4 comma-separated "
+                                       f"base-10 integers, got '1,1,{field},2'\n")
+
+
+def test_cli_loads_no_numpy_ma(tmp_path, k5_path):
+    # `numpy.ma` costs tens of ms and ~2 MiB on its first import; bare
+    # `np.unique` and a few other numpy functions pull it in.
+    rules = tmp_path / "rules.json"
+    rules.write_text('{"default": 2, "rules": [{"pattern": ["==0", "==0"], "score": 0}]}')
+    net, samples, pmf = (str(tmp_path / name) for name in ("ba.json", "s.csv", "pmf.csv"))
+    calls = [
+        ["generate", "ba", "--nodes", "30", "--attach", "2", "--init", "3", "--top-k", "4",
+         "--p", "0.1,0.2", "--q", "0.3,0.2", "--seed", "1", "--out", net],
+        ["simulate", "--network", net, "-L", "3", "-K", "40", "--seed", "2", "--out", samples],
+        ["stats", "--in", samples, "--out", str(tmp_path / "st")],
+        ["exact", "--network", k5_path, "-L", "2", "--out", pmf],
+        ["stats", "--in", pmf, "--out", str(tmp_path / "pst")],
+        ["score", "--pmf", pmf, "--rules", str(rules), "--out", str(tmp_path / "score.csv")],
+    ]
+    ma = "[m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')]"
+    done = _python(
+        f"import sys, numpy; before = {ma}\n"
+        "from hoprisk.cli import main\n"
+        f"assert all(main(argv) == 0 for argv in {calls!r})\n"
+        f"print(sorted(set({ma}) - set(before)))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, k5_path):
+    def run(prefix, in_process):
+        calls = [["simulate", "--network", k5_path, "-L", "3", "-K", "25", "--seed", "3",
+                  "--out", prefix + ".csv"],
+                 ["stats", "--in", prefix + ".csv", "--out", prefix]]
+        for argv in calls:
+            if in_process:
+                assert main(argv) == 0
+            else:
+                done = _python(f"import sys; from hoprisk.cli import main; sys.exit(main({argv!r}))")
+                assert done.returncode == 0, done.stderr
+        names = [".csv", ".csv.manifest.json", ".moments.csv", ".correlations.csv",
+                 ".manifest.json"]
+        return [open(prefix + name, "rb").read().replace(prefix.encode(), b"<out>")
+                for name in names]
+
+    fresh = run(str(tmp_path / "fresh"), in_process=False)
+    assert run(str(tmp_path / "first"), in_process=True) == fresh
+    assert run(str(tmp_path / "again"), in_process=True) == fresh

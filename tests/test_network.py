@@ -215,3 +215,41 @@ def test_build_save_load_build_identical(tmp_path):
     path = tmp_path / "net.json"
     save_json(net, str(path))
     assert load_json(str(path)) == net
+
+
+@pytest.mark.parametrize("second", ['{"u": 1, "v": 0, "q_uv": 0.9, "q_vu": 0.8}',
+                                    '{"u": 0, "v": 1, "q_uv": 0.1, "q_vu": 0.2}'])
+def test_json_rejects_duplicate_edges(tmp_path, second):
+    path = tmp_path / "dup.json"
+    path.write_text('{"nodes": [{"id": 0, "type": 0, "p": 0.1}, {"id": 1, "type": 0, "p": 0.1}],'
+                    ' "edges": [{"u": 0, "v": 1, "q_uv": 0.1, "q_vu": 0.2}, ' + second + "]}")
+    pair = "(1, 0)" if '"u": 1' in second else "(0, 1)"
+    with pytest.raises(ValueError, match="duplicate edge") as err:
+        load_json(str(path))
+    assert str(err.value) == f"{path}: duplicate edge {pair}"
+    # in memory, a repeated pair is still one edge
+    net = build_network([(0, 0, 0.1), (1, 0, 0.1)], [(0, 1), (1, 0)])
+    assert net.edges == frozenset({(0, 1)})
+
+
+def test_json_self_loop_is_not_a_duplicate(tmp_path):
+    path = tmp_path / "loop.json"
+    path.write_text('{"nodes": [{"id": 0, "type": 0, "p": 0.1}, {"id": 1, "type": 0, "p": 0.1}],'
+                    ' "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 1}]}')
+    with pytest.raises(ValueError, match="self-loop on node 1"):
+        load_json(str(path))
+
+
+def test_range_errors_name_the_first_offending_node_or_pair():
+    nodes = [(0, 0, 0.5), (1, 0, 1.5), (2, 0, -1.0)]
+    with pytest.raises(ValueError, match=r"^p for node 1 out of \[0, 1\]: 1.5$"):
+        build_network(nodes, [])
+    with pytest.raises(ValueError, match=r"^p for node 0 out of \[0, 1\]: nan$"):
+        build_network([(0, 0, float("nan"))], [])
+    nodes = [(i, 0, 0.5) for i in range(3)]
+    q = {(0, 1): 0.5, (2, 1): 2.0, (1, 0): -0.5}
+    with pytest.raises(ValueError, match=r"^q for \(2, 1\) out of \[0, 1\]: 2.0$"):
+        build_network(nodes, [(0, 1), (1, 2)], q=q)
+    q = {(0, 1): 0.5, (0, 2): 0.3, (2, 0): 0.1}
+    with pytest.raises(ValueError, match=r"^q given for \(0, 2\) but \{0, 2\} is not an edge$"):
+        build_network(nodes, [(0, 1), (1, 2)], q=q)

@@ -1,6 +1,7 @@
 """Property tests: the exact engine against the brute-force oracle and the
 lumped engine on generated networks, the coupling of Monte Carlo runs, the
-rank correlations against scipy, and CSV round-trips.
+rank correlations against scipy, CSV round-trips, and the bytes of the
+sample and moments CSVs against plain per-row and per-column references.
 
 Examples are derandomized and capped, so every run checks the same cases.
 """
@@ -9,6 +10,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,12 +33,15 @@ from hoprisk import (
     correlations,
     generate_ba,
     joint_pmf,
+    marginal_moments,
     pairwise_correlations,
     simulate_runs,
     star_network,
     star_pmf,
     with_type_probabilities,
 )
+import hoprisk.simulate
+from hoprisk.cli import main
 from hoprisk.exact import _MAX_CELLS
 
 from oracle import brute_force_joint_pmf
@@ -178,3 +183,71 @@ def test_pmf_csv_round_trip(tmp_path_factory, dims, data):
     back = JointPmf.from_csv(path)
     assert back.dims == pmf.dims
     assert np.array_equal(back.probs, pmf.probs)
+
+
+# run counts: the edge cases 1 and 2, the benchmark's 25, 1000 (several
+# pairwise-summation blocks), and anything up to 400
+_RUNS = st.sampled_from([1, 2, 25, 1000]) | st.integers(1, 400)
+
+
+def _random_counts(runs, depth, types, high, seed):
+    return np.random.default_rng(seed).integers(0, high, (runs, depth, types), endpoint=True)
+
+
+def _row_by_row_sample_csv(samples: SampleMatrix) -> bytes:
+    lines = ["run,depth," + ",".join(f"x_{t + 1}" for t in range(samples.num_types))]
+    for k in range(samples.runs):
+        for l in range(samples.depth):
+            row = [k + 1, l + 1] + [int(v) for v in samples.counts[k, l]]
+            lines.append(",".join(str(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(runs=_RUNS, depth=st.integers(1, 6), types=st.integers(1, 4),
+       high=st.sampled_from([1, 30, 10**12]), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 7, 1 << 16]))
+def test_sample_csv_bytes_match_a_row_by_row_writer(tmp_path_factory, runs, depth, types,
+                                                    high, seed, chunk):
+    samples = SampleMatrix(_random_counts(runs, depth, types, high, seed), depth, None, None)
+    path = tmp_path_factory.mktemp("samples") / "s.csv"
+    with mock.patch.object(hoprisk.simulate, "_CSV_ROWS", chunk):
+        samples.to_csv(str(path))
+    assert path.read_bytes() == _row_by_row_sample_csv(samples)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(runs=_RUNS, depth=st.integers(1, 4), types=st.integers(1, 3),
+       high=st.sampled_from([1, 30, 10**12]), seed=st.integers(0, 2**32 - 1))
+def test_moments_csv_matches_per_column_moments(tmp_path_factory, runs, depth, types,
+                                                high, seed):
+    counts = _random_counts(runs, depth, types, high, seed)
+    samples = SampleMatrix(counts, depth, None, None)
+    folder = tmp_path_factory.mktemp("stats")
+    samples.to_csv(str(folder / "s.csv"))
+    assert main(["stats", "--in", str(folder / "s.csv"), "--out", str(folder / "st")]) == 0
+    expected = []
+    for l in range(1, depth + 1):
+        block = counts[:, l - 1].astype(float)
+        for t, tm in enumerate(marginal_moments(samples, l).per_type):
+            col = block[:, t]
+            sd = col.std(ddof=1) if runs > 1 else 0.0
+            assert (f"{tm.mean:.17g}", f"{tm.sd:.17g}") == (f"{col.mean():.17g}", f"{sd:.17g}")
+            expected.append(f"{l},{t + 1},{tm.mean:.17g},{tm.sd:.17g}")
+    assert (folder / "st.moments.csv").read_text().splitlines()[1:] == expected
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(runs=st.integers(1, 30), depth=st.integers(1, 5), types=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_csv_row_order_does_not_matter(tmp_path_factory, runs, depth, types, seed):
+    folder = tmp_path_factory.mktemp("shuffled")
+    SampleMatrix(_random_counts(runs, depth, types, 50, seed), depth, None, None).to_csv(
+        str(folder / "sorted.csv"))
+    header, *rows = (folder / "sorted.csv").read_text().splitlines()
+    rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+    (folder / "shuffled.csv").write_text("\n".join([header] + rows) + "\n")
+    a = SampleMatrix.from_csv(str(folder / "sorted.csv"))
+    b = SampleMatrix.from_csv(str(folder / "shuffled.csv"))
+    assert b.depth == a.depth and b.counts.dtype == np.int64
+    assert np.array_equal(b.counts, a.counts)

@@ -281,3 +281,28 @@ def test_pmf_rejects_non_finite_probabilities(tmp_path, bad):
     path.write_text(f"x_1,prob\n0,{bad}\n1,1.0\n")
     with pytest.raises(ValueError, match="finite"):
         JointPmf.from_csv(str(path))
+
+
+@pytest.mark.parametrize("field", ["2.5", "abc", ""])
+def test_sample_csv_names_the_file_and_line_of_a_non_integer(tmp_path, field):
+    path = tmp_path / "samples.csv"
+    path.write_text(f"run,depth,x_1\n1,1,3\n1,2,{field}\n")
+    with pytest.raises(ValueError) as err:
+        SampleMatrix.from_csv(str(path))
+    assert str(err.value) == (f"{path}: line 3: expected 3 comma-separated base-10 "
+                              f"integers, got '1,2,{field}'")
+
+
+@pytest.mark.parametrize("body", ["1,1,3\n1,2\n", "1,1,3,4\n", "1,1,3\n# note\n", "1,1,3\n \n"])
+def test_sample_csv_rejects_ragged_rows_comments_and_blank_fields(tmp_path, body):
+    path = tmp_path / "samples.csv"
+    path.write_text("run,depth,x_1\n" + body)
+    with pytest.raises(ValueError, match=r"line \d: expected 3 comma-separated") as err:
+        SampleMatrix.from_csv(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_sample_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("run,depth,x_1\n1,1,3\n\n1,2,4\n\n")
+    assert SampleMatrix.from_csv(str(path)).counts.tolist() == [[[3], [4]]]
