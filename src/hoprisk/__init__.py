@@ -15,7 +15,6 @@ from .network import (
 )
 from .pmf import JointPmf
 from .exact import (
-    DEFAULT_NODE_CAP,
     ExactEngineCapError,
     event_prob,
     joint_pmf,
@@ -74,7 +73,6 @@ __all__ = [
     "r_prob",
     "event_prob",
     "joint_pmf",
-    "DEFAULT_NODE_CAP",
     "ExactEngineCapError",
     "CompleteHomogParams",
     "TwoClassParams",

@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .exact import ExactEngineCapError, DEFAULT_NODE_CAP, joint_pmf
+from .exact import ExactEngineCapError, joint_pmf
 from .network import (
     assign_types_by_degree,
     build_network,
@@ -79,14 +79,13 @@ def _parse_prob_list(raw: str, label: str) -> list[float]:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     net = load_json(args.network)
-    cap = args.cap_override if args.cap_override is not None else DEFAULT_NODE_CAP
-    pmf = joint_pmf(net, args.depth, max_nodes=cap)
+    pmf = joint_pmf(net, args.depth)
     pmf.to_csv(args.out)
     _write_manifest(
         args.out,
         "exact",
         {"network": args.network},
-        {"depth": args.depth, "node_cap": cap, "seed": None},
+        {"depth": args.depth, "seed": None},
         [args.out],
     )
     return 0
@@ -225,12 +224,11 @@ def cmd_order_check(args: argparse.Namespace) -> int:
     if args.depths and scales:
         raise ValueError("use either --depths or --p-scale/--q-scale, not both")
     net = load_json(args.network)
-    cap = args.cap_override if args.cap_override is not None else DEFAULT_NODE_CAP
     reports = []
     if args.depths:
         if len(args.depths) < 2:
             raise ValueError("--depths needs at least two values")
-        pmfs = {d: joint_pmf(net, d, max_nodes=cap) for d in sorted(set(args.depths))}
+        pmfs = {d: joint_pmf(net, d) for d in sorted(set(args.depths))}
         for lo, hi in zip(args.depths, args.depths[1:]):
             claim = f"depth {lo} <= depth {hi}"
             reports.append(check_orthant_monotone(pmfs[lo], pmfs[hi], args.tol, claim))
@@ -244,8 +242,8 @@ def cmd_order_check(args: argparse.Namespace) -> int:
             net.edges,
             q={pair: min(1.0, qij * q_scale) for pair, qij in net.q.items()},
         )
-        lo = joint_pmf(net, args.depth, max_nodes=cap)
-        hi = joint_pmf(scaled, args.depth, max_nodes=cap)
+        lo = joint_pmf(net, args.depth)
+        hi = joint_pmf(scaled, args.depth)
         claim = f"base <= {', '.join(claims)} at depth {args.depth}"
         reports.append(check_orthant_monotone(lo, hi, args.tol, claim))
     else:
@@ -284,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--network", required=True)
     p_exact.add_argument("-L", "--depth", type=int, required=True)
     p_exact.add_argument("--out", required=True)
-    p_exact.add_argument("--cap-override", type=int, default=None,
-                         help=f"raise the {DEFAULT_NODE_CAP}-node cap (the cell budget still applies)")
     p_exact.set_defaults(func=cmd_exact)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo runs of the propagation")
@@ -337,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--q-scale", type=float, default=None)
     p_order.add_argument("--tol", type=float, default=1e-12)
     p_order.add_argument("--out", default=None)
-    p_order.add_argument("--cap-override", type=int, default=None)
     p_order.set_defaults(func=cmd_order_check)
 
     return parser

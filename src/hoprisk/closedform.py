@@ -93,10 +93,16 @@ def _binom_pmf(n: int, h: np.ndarray | float) -> np.ndarray:
 
 
 def _binom_start(n: int, p: float) -> np.ndarray:
-    """``out[k]`` = P(Binomial(n, p) = k): row n of ``_binom_pmf`` in O(n) memory."""
-    out = np.ones(1)
-    for _ in range(n):
-        out = np.append((1.0 - p) * out, 0.0) + np.append(0.0, p * out)
+    """``out[k]`` = P(Binomial(n, p) = k), as the n-fold convolution of
+    ``[1 - p, p]`` by repeated squaring: O(log n) convolutions, exact point
+    masses at p = 0 or 1."""
+    out, power = np.ones(1), np.array([1.0 - p, p])
+    while n:
+        if n & 1:
+            out = np.convolve(out, power)
+        n >>= 1
+        if n:
+            power = np.convolve(power, power)
     return out
 
 

@@ -12,13 +12,26 @@ C, is the last round's front; the direct attack starts it on the states
 probability over the newly hit set S; after N rounds nothing moves. The
 mass is a dense array of 3^N cells, a block of 2^|C| cells (F as a subset of
 C) per C, ordered by |C| and then by mask, so a round is one vectorised
-kernel per size of C, ~4^N multiply-adds in all. The arrays are checked
-against a fixed cell budget before allocating: above 14 nodes,
-:class:`ExactEngineCapError`.
+kernel per chunk of same-size C, ~4^N multiply-adds in all.
+
+Everything a round needs of the network but not of the mass is its plan:
+the chunk layout, the target cells and each chunk's hit-probability
+factors, built once from ``net.csr``. A round is then one broadcast
+multiply, one matrix product and one scatter per chunk. The plan of the
+network solved last is kept, through a weak reference to that network, for
+the next solve of it at any depth or from any sources, so at most one plan
+is held and it goes with its network. The arrays, the stored factors
+included, are checked against a fixed cell budget before allocating; that
+budget is the only limit, and it refuses networks above 14 nodes with
+:class:`ExactEngineCapError`. From 13 nodes on, the factors of the chunks
+past the budget are computed in each round instead.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,17 +40,12 @@ from .network import NetworkModel, induced_subnetwork
 from .pmf import JointPmf
 
 __all__ = [
-    "DEFAULT_NODE_CAP",
-    "HARD_NODE_CAP",
     "ExactEngineCapError",
     "one_hop_prob",
     "r_prob",
     "event_prob",
     "joint_pmf",
 ]
-
-DEFAULT_NODE_CAP = 20
-HARD_NODE_CAP = 64
 
 # float64 (or int64) cells an exact engine may hold at once (128 MiB); shared
 # with the lumped engine in closedform
@@ -61,21 +69,37 @@ def _mask(net: NetworkModel, nodes: NodeSet) -> int:
     return mask
 
 
-def _chunk_size(n: int) -> int:
-    """Most C of one size per kernel call that keep an n-node run in budget.
+def _factor_cells(n: int, k: int) -> int:
+    """Cells of the factors of one C of size k: 2^k fronts times the
+    2^half + 2^(m - half) hit sets of the halves of its m = n - k intact nodes."""
+    m = n - k
+    return ((1 << m // 2) + (1 << m - m // 2)) << k
+
+
+def _chunk_size(n: int) -> tuple[int, int]:
+    """Most C of one size per kernel call for an n-node run, and the cells
+    left for the plan to store factors in.
 
     Held: two mass arrays, the target cells (3^n each), the miss factors
-    (n (n - 1) 2^(n - 2)) and per-mask arrays; a kernel needs < 4 * 2^n per C.
+    (n (n - 1) 2^(n - 2)), the nodes of each C and its intact nodes (n 2^n)
+    and per-mask arrays; a kernel needs < 4 * 2^n per C, and for a C of
+    size k only its factors, their misses and temporaries, and its output.
     """
-    held = 3 * 3**n + (n * (n - 1) // 4 + 8) * 2**n
+    held = 3 * 3**n + (n * (n - 1) // 4 + n + 8) * 2**n
     per_c = 4 * 2**n
     if held + per_c > _MAX_CELLS:
         raise ExactEngineCapError(
-            f"{n} nodes need {held + per_c} float64 cells, above the exact "
+            f"{n} nodes need over 3 * 3^{n} float64 cells, above the exact "
             f"engine's budget of {_MAX_CELLS}; use the `simulate` command / "
             "simulate_runs() instead"
         )
-    return (_MAX_CELLS - held) // per_c
+    chunk = (_MAX_CELLS - held) // per_c
+    kernel = max(
+        min(chunk, math.comb(n, k))
+        * (2 * (_factor_cells(n, k) + (n - k << k)) + (1 << n - k))
+        for k in range(n + 1)
+    )
+    return chunk, _MAX_CELLS - held - kernel
 
 
 def _subset_sums(values: Sequence[int]) -> np.ndarray:
@@ -84,39 +108,6 @@ def _subset_sums(values: Sequence[int]) -> np.ndarray:
     for v in values:
         out = np.concatenate([out, out + v])
     return out
-
-
-def _round_plan(
-    net: NetworkModel, chunk: int, sizes: np.ndarray, order: np.ndarray, offset: np.ndarray
-) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Per chunk of same-size C: its cell range, miss factors and targets.
-
-    ``keep[b, r, t]`` is 1 - q from the r-th node of C_b to its t-th intact
-    node, and ``target[b, s]`` the cell of (C_b | S, S), where bit t of s
-    stands for the t-th intact node of C_b.
-    """
-    n = net.n_nodes
-    idx = net.index_of
-    survive = np.ones((n, n))
-    for (u, v), quv in net.q.items():
-        survive[idx[u], idx[v]] = 1.0 - quv
-    plan = []
-    for k, group in enumerate(np.split(order, np.cumsum(np.bincount(sizes))[:-1])):
-        for lo in range(0, len(group), chunk):
-            cm = group[lo : lo + chunk, None]
-            first = int(offset[cm[0, 0]])
-            nodes = np.argsort(1 - ((cm >> np.arange(n)) & 1), axis=1, kind="stable")
-            outs = nodes[:, k:]
-            keep = survive[nodes[:, :k, None], outs[:, None, :]]
-            # in C | S, the t-th intact node o has o - t nodes of C below it,
-            # plus the nodes of S among the intact nodes before it
-            rank = np.zeros_like(cm)
-            for t in range(n - k):
-                o = outs[:, t, None]
-                rank = np.concatenate([rank, rank + (1 << (o - t + sizes[: 1 << t]))], axis=1)
-                cm = np.concatenate([cm, cm | (1 << o)], axis=1)
-            plan.append((first, first + (len(cm) << k), keep, offset[cm] + rank))
-    return plan
 
 
 def _outcomes(miss: np.ndarray) -> np.ndarray:
@@ -128,11 +119,13 @@ def _outcomes(miss: np.ndarray) -> np.ndarray:
     return out
 
 
-def _round(mass: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """One round for a chunk of same-size C.
+def _factors(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mass-independent factors of a chunk of same-size C.
 
-    ``mass[b, f]`` is the mass on (C_b, F) for the fronts F of C_b; returns
-    the mass moving to each newly hit set S of C_b's intact nodes.
+    ``keep[b, r, t]`` is 1 - q from the r-th node of C_b to its t-th intact
+    node. Given the front f, the hits on the low and the high half of the
+    intact nodes are independent: returns ``low[s, b, f]`` and
+    ``high[b, s, f]``, the probabilities of each hit set s of either half.
     """
     b, k, m = keep.shape
     # miss[t, b, f]: front f of C_b misses the t-th intact node
@@ -140,12 +133,115 @@ def _round(mass: np.ndarray, keep: np.ndarray) -> np.ndarray:
     for r in range(k):
         miss = np.concatenate([miss, miss * keep[:, r]])
     miss = np.ascontiguousarray(miss.transpose(2, 1, 0))
-    # given f, the hits on the low and the high half of the intact nodes are
-    # independent, so the sum over f is one matrix product per C
     half = m // 2
-    low = _outcomes(miss[:half]) * mass
-    high = _outcomes(miss[half:])
-    return np.matmul(high.transpose(1, 0, 2), low.transpose(1, 2, 0)).reshape(b, -1)
+    high = _outcomes(miss[half:]).transpose(1, 0, 2)
+    return _outcomes(miss[:half]), high
+
+
+def _round(mass: np.ndarray, factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """One round for a chunk of same-size C.
+
+    ``mass[b, f]`` is the mass on (C_b, F) for the fronts F of C_b; returns
+    the mass moving to each newly hit set S of C_b's intact nodes. The sum
+    over f is one matrix product per C.
+    """
+    low, high = factors
+    return np.matmul(high, (low * mass).transpose(1, 2, 0)).reshape(len(mass), -1)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The cells of an n-node run, the same for every n-node network.
+
+    ``order`` lists the masks C by size and then by mask, ``offset[C]`` is
+    the first cell of C's block and ``full[C]`` the cell of (C, C). Each
+    chunk of same-size C is ``(lo, hi, target, inside, outside)``: its cell
+    range; the cell ``target[b, s]`` of (C_b | S, S), where bit t of s stands
+    for the t-th intact node of C_b; and the nodes of C_b and its intact
+    nodes, shaped to index the (from, to) pairs between them. ``store`` is
+    the cells left for stored factors.
+    """
+
+    n: int
+    order: np.ndarray
+    offset: np.ndarray
+    full: np.ndarray
+    chunks: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]
+    store: int
+
+
+def _layout(n: int) -> _Layout:
+    chunk, store = _chunk_size(n)
+    sizes = _subset_sums([1] * n)
+    order = np.argsort(sizes, kind="stable")
+    blocks = 1 << sizes
+    offset = np.empty(1 << n, dtype=np.int64)
+    offset[order] = np.cumsum(blocks[order]) - blocks[order]
+    chunks = []
+    for k, group in enumerate(np.split(order, np.cumsum(np.bincount(sizes))[:-1])):
+        for lo in range(0, len(group), chunk):
+            cm = group[lo : lo + chunk, None]
+            first = int(offset[cm[0, 0]])
+            nodes = np.argsort(1 - ((cm >> np.arange(n)) & 1), axis=1, kind="stable")
+            outs = nodes[:, k:]
+            # in C | S, the t-th intact node o has o - t nodes of C below it,
+            # plus the nodes of S among the intact nodes before it
+            rank = np.zeros_like(cm)
+            for t in range(n - k):
+                o = outs[:, t, None]
+                rank = np.concatenate([rank, rank + (1 << (o - t + sizes[: 1 << t]))], axis=1)
+                cm = np.concatenate([cm, cm | (1 << o)], axis=1)
+            inside, outside = nodes[:, :k, None], outs[:, None, :]
+            chunks.append((first, first + (len(cm) << k), offset[cm] + rank, inside, outside))
+    return _Layout(n, order, offset, offset + blocks - 1, chunks, store)
+
+
+def _chunk_factors(net: NetworkModel, layout: _Layout) -> list[tuple | np.ndarray]:
+    """Per chunk of ``layout``, its factors on ``net`` or, past the cells
+    left to store them, the ``keep`` array a round computes them from."""
+    n, store = net.n_nodes, layout.store
+    adj = net.csr
+    dst = np.repeat(adj.targets, np.diff(adj.starts, append=len(adj.src)))
+    survive = np.ones((n, n))
+    survive[adj.src, dst] = 1.0 - adj.q
+    factors = []
+    for _, _, _, inside, outside in layout.chunks:
+        keep = survive[inside, outside]
+        cells = len(keep) * _factor_cells(n, inside.shape[1])
+        if cells <= store:
+            store -= cells
+            factors.append(_factors(keep))
+        else:
+            factors.append(keep)
+    return factors
+
+
+# the network solved last, its layout and its chunks' factors; dropped
+# together with that network
+_last: tuple[weakref.ref, _Layout, list] | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _last
+    if _last is not None and _last[0] is ref:
+        _last = None
+
+
+def _plan(net: NetworkModel) -> tuple[_Layout, list]:
+    """The layout and chunk factors of ``net``, built once while it is the
+    network solved last; the layout is kept for a next network of its size."""
+    global _last
+    last = _last
+    if last is not None and last[0]() is net:
+        return last[1], last[2]
+    # drop the old factors (and a layout of another size) before building anew
+    layout = last[1] if last is not None and last[1].n == net.n_nodes else None
+    _last = last = None
+    if layout is None:
+        layout = _layout(net.n_nodes)
+    factors = _chunk_factors(net, layout)
+    _last = (weakref.ref(net, _forget), layout, factors)
+    return layout, factors
 
 
 def _set_probs(net: NetworkModel, depth: int, sources: int | None = None) -> np.ndarray:
@@ -153,30 +249,24 @@ def _set_probs(net: NetworkModel, depth: int, sources: int | None = None) -> np.
     rounds, started by the direct attack or, if given, from exactly the mask
     ``sources`` compromised directly."""
     n = net.n_nodes
-    chunk = _chunk_size(n)
-    sizes = _subset_sums([1] * n)
-    order = np.argsort(sizes, kind="stable")
-    blocks = 1 << sizes
-    offset = np.empty(1 << n, dtype=np.int64)
-    offset[order] = np.cumsum(blocks[order]) - blocks[order]
-    # the state (C, C) is the last cell of C's block
+    layout, factors = _plan(net)
     state = np.zeros(3**n)
     if sources is None:
         direct = np.ones(1)
         for pi in net.p:
             direct = np.concatenate([direct * (1.0 - pi), direct * pi])
-        state[offset + blocks - 1] = direct
+        state[layout.full] = direct
     else:
-        state[offset[sources] + blocks[sources] - 1] = 1.0
-    rounds = min(depth, n)
-    plan = _round_plan(net, chunk, sizes, order, offset) if rounds else []
-    for _ in range(rounds):
+        state[layout.full[sources]] = 1.0
+    for _ in range(min(depth, n)):
         nxt = np.empty_like(state)
-        for lo, hi, keep, target in plan:
-            nxt[target] = _round(state[lo:hi].reshape(len(target), -1), keep)
+        for (lo, hi, target, _, _), chunk in zip(layout.chunks, factors):
+            if not isinstance(chunk, tuple):
+                chunk = _factors(chunk)
+            nxt[target] = _round(state[lo:hi].reshape(len(target), -1), chunk)
         state = nxt
     out = np.empty(1 << n)
-    out[order] = np.add.reduceat(state, offset[order])
+    out[layout.order] = np.add.reduceat(state, layout.offset[layout.order])
     return out
 
 
@@ -197,7 +287,7 @@ def r_prob(
         raise ValueError("sources must be a subset of the target set")
     if not target <= active:
         raise ValueError("target set must be a subset of the active set")
-    sub = induced_subnetwork(net, active)
+    sub = net if active == set(net.node_ids) else induced_subnetwork(net, active)
     return float(_set_probs(sub, depth, _mask(sub, sources))[_mask(sub, target)])
 
 
@@ -222,32 +312,16 @@ def event_prob(net: NetworkModel, target: NodeSet, depth: int) -> float:
     return float(_set_probs(net, depth)[c])
 
 
-def joint_pmf(
-    net: NetworkModel, depth: int, max_nodes: int = DEFAULT_NODE_CAP
-) -> JointPmf:
+def joint_pmf(net: NetworkModel, depth: int) -> JointPmf:
     """Exact joint distribution of per-type compromised-node counts.
 
     Sums the exact-set probabilities of all ``2^N`` node subsets into the
     count table in ascending mask order, so results are reproducible bit for
-    bit. Refuses networks above ``max_nodes`` (raise it if you accept the
-    cost) and, for any cap, above the engine's cell budget (14 nodes); use
+    bit. Refuses networks above the engine's cell budget (14 nodes); use
     Monte Carlo simulation for larger networks.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    n = net.n_nodes
-    if n > HARD_NODE_CAP:
-        raise ExactEngineCapError(
-            f"{n} nodes exceeds the {HARD_NODE_CAP}-node bitmask limit; "
-            "use the `simulate` command / simulate_runs() instead"
-        )
-    if n > max_nodes:
-        raise ExactEngineCapError(
-            f"{n} nodes exceeds the exact-engine cap of {max_nodes}: the engine "
-            f"holds 3^{n} ~ {3.0 ** n:.2e} states and does ~4^{n} multiply-adds "
-            "per round; use the `simulate` command / simulate_runs(), or pass a "
-            "higher cap to accept the cost"
-        )
     probs = _set_probs(net, depth)
     dims = tuple(s + 1 for s in net.type_sizes)
     strides = np.cumprod((1,) + dims[:0:-1])[::-1]

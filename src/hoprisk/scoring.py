@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _PRED_RE = re.compile(r"^(==|>=|<=)\s*(\d+)$")
+_COMPARE = {"==": np.equal, ">=": np.greater_equal, "<=": np.less_equal}
 
 
 @dataclass(frozen=True)
@@ -158,11 +159,19 @@ def score_distribution(rules: ScoreRuleSet, pmf: JointPmf) -> dict[int, float]:
             f"{pmf.num_types} types"
         )
     _check_bounds(rules, pmf.type_sizes)
-    dist: dict[int, float] = {}
-    for idx in np.ndindex(*pmf.dims):
-        prob = float(pmf.probs[idx])
-        if prob == 0.0:
-            continue
-        score = score_vector(rules, idx)
-        dist[score] = dist.get(score, 0.0) + prob
-    return dict(sorted(dist.items()))
+    # each cell's score, as a code into the sorted distinct scores: the
+    # rules are laid down last to first, so the first match wins
+    values = sorted({rule.score for rule in rules.rules} | {rules.default})
+    codes = np.full(pmf.dims, values.index(rules.default))
+    counts = np.indices(pmf.dims, sparse=True)
+    for rule in reversed(rules.rules):
+        match = np.ones(pmf.dims, dtype=bool)
+        for (op, k), x in zip(rule.pattern.predicates, counts):
+            if op != "*":
+                match &= _COMPARE[op](x, k)
+        codes[match] = values.index(rule.score)
+    # summed cell by cell in C order, as a loop over np.ndindex would
+    probs = pmf.probs.ravel()
+    total = np.bincount(codes.ravel(), weights=probs, minlength=len(values))
+    reached = np.bincount(codes.ravel()[probs != 0.0], minlength=len(values))
+    return {v: float(p) for v, p, hit in zip(values, total, reached) if hit}

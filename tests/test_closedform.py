@@ -19,6 +19,8 @@ from hoprisk import (
     star_pmf,
 )
 
+from hoprisk.closedform import _binom_start
+
 from oracle import brute_force_joint_pmf
 
 
@@ -210,3 +212,28 @@ def test_params_validation():
         CompleteHomogParams((2,), 0.1, 0.1, 0)
     with pytest.raises(ValueError):
         TwoClassParams(0.1, 0.1, 0.1, -0.2)
+
+
+def _binom_by_trials(n, p):
+    """Binomial(n, p) PMF adding one trial at a time."""
+    out = np.ones(1)
+    for _ in range(n):
+        out = np.append((1.0 - p) * out, 0.0) + np.append(0.0, p * out)
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(65), 127, 128, 255, 511, 1000, 2047])
+def test_binom_start_matches_the_trial_recurrence(n):
+    # the two differ by rounding alone, which grows with the number of
+    # convolutions (about 2 log2 n): at most 5.6e-16 up to n = 64 and 3.0e-15
+    # at n = 2047 (the trial recurrence is itself 1.9e-15 off the exact values
+    # at n = 511, p = 0.05)
+    tol = max(1e-15, 2 * np.finfo(float).eps * n.bit_length())
+    for p in (0.5, 0.05, 0.15, 0.99, 0.003, 0.3141, 0.8571):
+        assert_allclose(_binom_start(n, p), _binom_by_trials(n, p), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 45, 1000])
+def test_binom_start_point_masses(n):
+    assert np.array_equal(_binom_start(n, 0.0), np.eye(n + 1)[0])
+    assert np.array_equal(_binom_start(n, 1.0), np.eye(n + 1)[n])

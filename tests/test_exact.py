@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hoprisk.exact as exact_engine
 from hoprisk import (
+    CompleteHomogParams,
     ExactEngineCapError,
     build_network,
+    complete_homog_pmf,
     complete_network,
     event_prob,
     induced_subnetwork,
@@ -207,12 +211,6 @@ def test_node_cap_refusal():
     net = complete_network([30], 0.1, 0.1)
     with pytest.raises(ExactEngineCapError, match="simulate"):
         joint_pmf(net, 2)
-    small = complete_network([7], 0.1, 0.1)
-    with pytest.raises(ExactEngineCapError):
-        joint_pmf(small, 1, max_nodes=5)
-    # a raised cap admits the same network
-    pmf = joint_pmf(small, 1, max_nodes=7)
-    assert abs(pmf.probs.sum() - 1.0) < 1e-9
 
 
 def test_oversized_network_refused_before_allocating():
@@ -220,12 +218,31 @@ def test_oversized_network_refused_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ExactEngineCapError, match="simulate"):
-            joint_pmf(path, 2, max_nodes=64)
+            joint_pmf(path, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the state alone would be 3^20 doubles, about 26 GiB
     assert peak < 1 << 16
+
+
+def test_plan_is_dropped_with_its_network():
+    net = complete_network([2, 3], 0.2, 0.1)
+    joint_pmf(net, 2)
+    assert exact_engine._last[0]() is net
+    del net
+    gc.collect()
+    assert exact_engine._last is None
+
+
+def test_thirteen_nodes_with_factors_over_budget_match_lumped_engine():
+    net = complete_network([6, 7], 0.15, 0.1)
+    got = joint_pmf(net, 1).probs
+    # the factors of some chunks are stored and the rest computed in each round
+    stored = [isinstance(f, tuple) for f in exact_engine._last[2]]
+    assert any(stored) and not all(stored)
+    want = complete_homog_pmf(CompleteHomogParams((6, 7), 0.15, 0.1, 1)).probs
+    assert_allclose(got, want, atol=1e-12)
 
 
 def test_unknown_node_in_target(example_net):

@@ -31,15 +31,18 @@ from hoprisk import (
     complete_homog_pmf,
     complete_network,
     correlations,
+    event_prob,
     generate_ba,
     joint_pmf,
     marginal_moments,
     pairwise_correlations,
+    r_prob,
     simulate_runs,
     star_network,
     star_pmf,
     with_type_probabilities,
 )
+import hoprisk.exact
 import hoprisk.simulate
 from hoprisk.cli import main
 from hoprisk.exact import _MAX_CELLS
@@ -90,6 +93,38 @@ def test_joint_pmf_matches_lumped_engine(shape, sizes, params, depth):
         lumped = bipartite_pmf(two, *sizes, depth)
         net = complete_bipartite_network(*sizes, *params)
     assert_allclose(joint_pmf(net, depth).probs, lumped.probs, atol=1e-12)
+
+
+def _solve(net, kind, depth, mask):
+    """Bytes of one exact answer: the PMF, one set's probability, or one
+    set's probability from a set of sources (over the whole network)."""
+    nodes = [v for v in net.node_ids if mask >> v & 1]
+    if kind == "pmf":
+        return joint_pmf(net, depth).probs.tobytes()
+    if kind == "event":
+        return event_prob(net, nodes, depth).hex()
+    return r_prob(net, net.node_ids, nodes, nodes[::2], max(depth, 1)).hex()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    nets=st.lists(networks(), min_size=1, max_size=3),
+    runs=st.lists(
+        st.tuples(st.integers(0, 2), st.lists(st.tuples(
+            st.sampled_from(["pmf", "event", "r"]), st.integers(0, 7), st.integers(0, 63)),
+            min_size=1, max_size=4)),
+        min_size=1, max_size=5),
+)
+def test_warm_plans_match_cold_plans(nets, runs):
+    # runs of solves on one network, switching networks between runs: the
+    # first solve of a run builds its plan, the others reuse it
+    solves = [(nets[i % len(nets)], kind, depth % (nets[i % len(nets)].n_nodes + 2), mask)
+              for i, run in runs for kind, depth, mask in run]
+    cold = []
+    for net, *solve in solves:
+        hoprisk.exact._last = None
+        cold.append(_solve(replace(net), *solve))
+    assert [_solve(*solve) for solve in solves] == cold
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

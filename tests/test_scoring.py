@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoprisk import (
     JointPmf,
@@ -10,6 +12,8 @@ from hoprisk import (
     score_distribution,
     score_vector,
 )
+
+from hoprisk.scoring import CountPattern, ScoreRule, ScoreRuleSet
 
 from tables import SCORE_ASSIGNMENTS, SCORE_RULES_JSON, TABLE_GRIDS
 
@@ -146,3 +150,46 @@ def test_expected_score_monotone_under_dominance():
     exp_lo = sum(s * p for s, p in score_distribution(monotone, lo).items())
     exp_hi = sum(s * p for s, p in score_distribution(monotone, hi).items())
     assert exp_lo <= exp_hi + 1e-12
+
+
+def test_score_reached_only_by_zero_probability_cells_is_absent():
+    rules = parse_rules('{"default": 0, "rules": [{"pattern": ["==2"], "score": 7}]}')
+    dist = score_distribution(rules, JointPmf((3,), np.array([0.25, 0.75, 0.0])))
+    assert dist == {0: 1.0}
+
+
+def _loop_score_distribution(rules, pmf):
+    """Cell-by-cell pushforward through ``score_vector``, in C order."""
+    dist = {}
+    for idx in np.ndindex(*pmf.dims):
+        prob = float(pmf.probs[idx])
+        if prob == 0.0:
+            continue
+        score = score_vector(rules, idx)
+        dist[score] = dist.get(score, 0.0) + prob
+    return dict(sorted(dist.items()))
+
+
+@st.composite
+def rules_and_pmfs(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    pattern = st.tuples(*(
+        st.just(("*", None)) | st.tuples(st.sampled_from(["==", ">=", "<="]), st.integers(0, d - 1))
+        for d in dims
+    ))
+    rules = [ScoreRule(CountPattern(preds), score)
+             for preds, score in draw(st.lists(st.tuples(pattern, st.integers(0, 5)), max_size=6))]
+    size = int(np.prod(dims))
+    weights = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=size,
+                                     max_size=size)))
+    weights[draw(st.integers(0, size - 1))] = 1.0
+    pmf = JointPmf(dims, (weights / weights.sum()).reshape(dims))
+    return ScoreRuleSet(tuple(rules), draw(st.integers(0, 5)), len(dims)), pmf
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=rules_and_pmfs())
+def test_score_distribution_matches_a_cell_by_cell_loop(case):
+    rules, pmf = case
+    got = score_distribution(rules, pmf)
+    assert list(got.items()) == list(_loop_score_distribution(rules, pmf).items())
