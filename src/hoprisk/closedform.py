@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import _MAX_CELLS, ExactEngineCapError
+from .exact import _MAX_CELLS, ExactEngineCapError, _make_room
 from .pmf import JointPmf
 
 __all__ = [
@@ -131,6 +131,7 @@ def _chain_binomial(
             f"cells, above the lumped engine's budget of {_MAX_CELLS}; use the "
             "`simulate` command / simulate_runs() instead"
         )
+    _make_room(state_cells + table_cells)
 
     # einsum axes: class t's count c_t is 2t, its front f_t 2t+1, its new hits 2k+t
     state = reduce(np.multiply.outer, [np.diag(start) for start in starts])

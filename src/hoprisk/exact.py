@@ -19,12 +19,16 @@ the chunk layout, the target cells and each chunk's hit-probability
 factors, built once from ``net.csr``. A round is then one broadcast
 multiply, one matrix product and one scatter per chunk. The plan of the
 network solved last is kept, through a weak reference to that network, for
-the next solve of it at any depth or from any sources, so at most one plan
-is held and it goes with its network. The arrays, the stored factors
-included, are checked against a fixed cell budget before allocating; that
-budget is the only limit, and it refuses networks above 14 nodes with
+the next solve of it at any depth, so at most one plan is held and it goes
+with its network. The arrays, the stored factors included, are checked
+against a fixed cell budget before allocating; that budget is the only
+limit, and it refuses networks above 14 nodes with
 :class:`ExactEngineCapError`. From 13 nodes on, the factors of the chunks
-past the budget are computed in each round instead.
+past the budget are computed in each round instead. A held plan takes the
+stored factors plus at most 3^N + (N(N - 1)/4 + N + 3) 2^N cells for the
+layout and the 1 - q arrays of the other chunks. It counts against the same
+budget as the other engines' arrays: before allocating, they drop it if it
+would not fit beside them.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ __all__ = [
 ]
 
 # float64 (or int64) cells an exact engine may hold at once (128 MiB); shared
-# with the lumped engine in closedform
+# with the lumped engine in closedform and stats.correlations, and the plan
+# the exact engine holds between calls counts against it (see _make_room)
 _MAX_CELLS = 1 << 24
 
 NodeSet = Iterable[int]
@@ -216,9 +221,9 @@ def _chunk_factors(net: NetworkModel, layout: _Layout) -> list[tuple | np.ndarra
     return factors
 
 
-# the network solved last, its layout and its chunks' factors; dropped
-# together with that network
-_last: tuple[weakref.ref, _Layout, list] | None = None
+# the network solved last, its layout, its chunks' factors and the cells
+# they take; dropped together with that network
+_last: tuple[weakref.ref, _Layout, list, int] | None = None
 
 
 def _forget(ref: weakref.ref) -> None:
@@ -240,8 +245,19 @@ def _plan(net: NetworkModel) -> tuple[_Layout, list]:
     if layout is None:
         layout = _layout(net.n_nodes)
     factors = _chunk_factors(net, layout)
-    _last = (weakref.ref(net, _forget), layout, factors)
+    arrays = [layout.order, layout.offset, layout.full]
+    for chunk, factor in zip(layout.chunks, factors):
+        arrays += chunk[2:] + (factor if isinstance(factor, tuple) else (factor,))
+    _last = (weakref.ref(net, _forget), layout, factors, sum(a.size for a in arrays))
     return layout, factors
+
+
+def _make_room(cells: int) -> None:
+    """Drop the held plan if it and ``cells`` cells of another engine would
+    not fit in the budget together."""
+    global _last
+    if _last is not None and _last[3] + cells > _MAX_CELLS:
+        _last = None
 
 
 def _set_probs(net: NetworkModel, depth: int, sources: int | None = None) -> np.ndarray:
@@ -287,7 +303,7 @@ def r_prob(
         raise ValueError("sources must be a subset of the target set")
     if not target <= active:
         raise ValueError("target set must be a subset of the active set")
-    sub = net if active == set(net.node_ids) else induced_subnetwork(net, active)
+    sub = induced_subnetwork(net, active)
     return float(_set_probs(sub, depth, _mask(sub, sources))[_mask(sub, target)])
 
 

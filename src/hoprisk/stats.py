@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import _MAX_CELLS
+from .exact import _MAX_CELLS, _make_room
 from .pmf import JointPmf
 from .simulate import SampleMatrix
 
@@ -165,6 +165,7 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> DependenceSummary:
             f"and its working copy need {2 * r * c} cells, above the budget of "
             f"{_MAX_CELLS}"
         )
+    _make_room(2 * r * c)
     xv, yv = xs[x_first], ys[y_first]
     table = np.bincount(xv.searchsorted(xa) * c + yv.searchsorted(ya), minlength=r * c)
     table = table.reshape(r, c)

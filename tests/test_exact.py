@@ -20,7 +20,7 @@ from hoprisk import (
     one_hop_prob,
     r_prob,
 )
-from hoprisk.stats import check_orthant_monotone
+from hoprisk.stats import check_orthant_monotone, correlations
 
 from oracle import brute_force_joint_pmf, brute_force_set_probs, random_network
 from tables import TABLE_GRIDS
@@ -243,6 +243,44 @@ def test_thirteen_nodes_with_factors_over_budget_match_lumped_engine():
     assert any(stored) and not all(stored)
     want = complete_homog_pmf(CompleteHomogParams((6, 7), 0.15, 0.1, 1)).probs
     assert_allclose(got, want, atol=1e-12)
+
+
+def test_thirteen_node_plan_stays_in_the_shared_budget():
+    budget = 8 * exact_engine._MAX_CELLS
+    net = complete_network([6, 7], 0.15, 0.1)
+    exact_engine._last = None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        peaks = []
+        # a cold solve, then a warm one beside the plan the first one holds
+        for depth in (1, 2):
+            tracemalloc.reset_peak()
+            joint_pmf(net, depth)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        held = tracemalloc.get_traced_memory()[0]
+        cells = exact_engine._last[3]
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= budget
+    # what stays is the plan: its cells and a few array headers per chunk
+    assert 0 <= held - 8 * cells < (1 << 16) + (len(exact_engine._last[1].chunks) << 10)
+    stored = sum(a.size for f in exact_engine._last[2] if isinstance(f, tuple) for a in f)
+    n = net.n_nodes
+    assert cells - stored <= 3**n + (n * (n - 1) // 4 + n + 3) * 2**n
+    # the lumped engine and the contingency table keep the plan while both
+    # fit and drop it otherwise
+    room, plan = exact_engine._MAX_CELLS - cells, exact_engine._last
+    complete_homog_pmf(CompleteHomogParams((200,), 0.1, 0.01, 1))
+    assert 201**2 + 201**3 <= room and exact_engine._last is plan
+    complete_homog_pmf(CompleteHomogParams((214,), 0.1, 0.01, 1))
+    assert 215**2 + 215**3 > room and exact_engine._last is None
+    exact_engine._last = plan
+    x = np.arange(2100.0)
+    correlations(x[:2000], x[:2000])
+    assert 2 * 2000**2 <= room and exact_engine._last is plan
+    correlations(x, x)
+    assert 2 * 2100**2 > room and exact_engine._last is None
 
 
 def test_unknown_node_in_target(example_net):

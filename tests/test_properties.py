@@ -97,7 +97,8 @@ def test_joint_pmf_matches_lumped_engine(shape, sizes, params, depth):
 
 def _solve(net, kind, depth, mask):
     """Bytes of one exact answer: the PMF, one set's probability, or one
-    set's probability from a set of sources (over the whole network)."""
+    set's probability from a set of sources (over the whole network, which
+    r_prob solves on an induced copy: it takes the slot and keeps the layout)."""
     nodes = [v for v in net.node_ids if mask >> v & 1]
     if kind == "pmf":
         return joint_pmf(net, depth).probs.tobytes()
