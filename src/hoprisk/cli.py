@@ -26,7 +26,7 @@ from .network import (
     save_json,
     with_type_probabilities,
 )
-from .pmf import JointPmf
+from .pmf import JointPmf, _write_table
 from .scoring import parse_rules, score_distribution
 from .simulate import STREAM, SampleMatrix, simulate_runs
 from .stats import _depth_moments, check_orthant_monotone, marginal_moments, pairwise_correlations
@@ -113,47 +113,38 @@ def _fmt(value: float | None) -> str:
 def cmd_stats(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-    outputs: list[str] = []
+    moments_path = args.out + ".moments.csv"
+    moments = ["depth", "type", "mean", "sd"]
+    outputs = [moments_path]
     if header.startswith("run,depth,"):
         samples = SampleMatrix.from_csv(args.input)
-        moments_path = args.out + ".moments.csv"
         mean, sd = _depth_moments(samples.counts)
-        with open(moments_path, "w", encoding="utf-8") as fh:
-            fh.write("depth,type,mean,sd\n")
-            for l, (means, sds) in enumerate(zip(mean.tolist(), sd.tolist()), start=1):
-                for t, (m, s) in enumerate(zip(means, sds), start=1):
-                    fh.write(f"{l},{t},{m:.17g},{s:.17g}\n")
-        outputs.append(moments_path)
+        moment_rows = [(l, t, mu, s)
+                       for l, (mus, sds) in enumerate(zip(mean.tolist(), sd.tolist()), 1)
+                       for t, (mu, s) in enumerate(zip(mus, sds), 1)]
+        _write_table(moments_path, moments, ["%d", "%d", "%.17g", "%.17g"], moment_rows)
+        m = samples.num_types
+        corr_rows = []
+        for l in range(1, samples.depth + 1):
+            if samples.runs < 2:
+                corr_rows += [(l, i + 1, j + 1) + ("undefined",) * 3
+                              for i in range(m) for j in range(i + 1, m)]
+            else:
+                corr_rows += [(l, i + 1, j + 1, _fmt(d.pearson), _fmt(d.kendall), _fmt(d.spearman))
+                              for (i, j), d in pairwise_correlations(samples, l).items()]
         corr_path = args.out + ".correlations.csv"
-        with open(corr_path, "w", encoding="utf-8") as fh:
-            fh.write("depth,pair,pearson,kendall,spearman\n")
-            for l in range(1, samples.depth + 1):
-                if samples.runs < 2:
-                    for i in range(samples.num_types):
-                        for j in range(i + 1, samples.num_types):
-                            fh.write(f"{l},{i + 1}-{j + 1},undefined,undefined,undefined\n")
-                    continue
-                for (i, j), dep in pairwise_correlations(samples, l).items():
-                    fh.write(
-                        f"{l},{i + 1}-{j + 1},{_fmt(dep.pearson)},"
-                        f"{_fmt(dep.kendall)},{_fmt(dep.spearman)}\n"
-                    )
+        _write_table(corr_path, ["depth", "pair", "pearson", "kendall", "spearman"],
+                     ["%d", "%d-%d", "%s", "%s", "%s"], corr_rows)
         outputs.append(corr_path)
     elif header.startswith("x_1,"):
         pmf = JointPmf.from_csv(args.input)
-        moments_path = args.out + ".moments.csv"
-        with open(moments_path, "w", encoding="utf-8") as fh:
-            fh.write("depth,type,mean,sd\n")
-            summary = marginal_moments(pmf)
-            for t, tm in enumerate(summary.per_type):
-                fh.write(f",{t + 1},{tm.mean:.17g},{tm.sd:.17g}\n")
-        outputs.append(moments_path)
+        per_type = marginal_moments(pmf).per_type
+        # PMF moments have no depth: that column is left empty
+        _write_table(moments_path, moments, ["", "%d", "%.17g", "%.17g"],
+                     [(t, tm.mean, tm.sd) for t, tm in enumerate(per_type, 1)])
         if pmf.num_types == 2:
             contour_path = args.out + ".contour.csv"
-            with open(contour_path, "w", encoding="utf-8") as fh:
-                fh.write("x1,x2,prob\n")
-                for idx, prob in pmf.cells():
-                    fh.write(f"{idx[0]},{idx[1]},{prob:.17g}\n")
+            _write_table(contour_path, ["x1", "x2", "prob"], ["%d", "%d", "%.17g"], pmf._table())
             outputs.append(contour_path)
     else:
         raise ValueError(f"{args.input}: neither a sample CSV nor a PMF CSV")
@@ -172,10 +163,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     with open(args.rules, "r", encoding="utf-8") as fh:
         rules = parse_rules(fh.read())
     dist = score_distribution(rules, pmf)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("score,prob\n")
-        for score, prob in dist.items():
-            fh.write(f"{score},{prob:.17g}\n")
+    _write_table(args.out, ["score", "prob"], ["%d", "%.17g"], list(dist.items()))
     _write_manifest(
         args.out,
         "score",
@@ -221,8 +209,12 @@ def cmd_order_check(args: argparse.Namespace) -> int:
     for name, scale in scales.items():
         if not (math.isfinite(scale) and scale >= 0.0):
             raise ValueError(f"--{name}-scale must be finite and >= 0, got {scale}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     if args.depths and scales:
         raise ValueError("use either --depths or --p-scale/--q-scale, not both")
+    if args.depths and args.depth is not None:
+        raise ValueError("-L/--depth is for --p-scale/--q-scale; --depths gives the depths")
     net = load_json(args.network)
     reports = []
     if args.depths:

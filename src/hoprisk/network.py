@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 from itertools import chain, combinations, islice
 from typing import Iterable, Mapping, Sequence
 
@@ -380,6 +381,15 @@ def complete_bipartite_network(
     return build_network(node_specs, edges, q=q)
 
 
+# The Python types of a JSON integer and of any JSON number; bool is left
+# out, although it subclasses int.
+_INTEGER, _NUMBER = {int}, {int, float}
+_JSON_TYPES = {"id": (_INTEGER, "an integer"), "type": (_INTEGER, "an integer"),
+               "u": (_INTEGER, "an integer"), "v": (_INTEGER, "an integer"),
+               "p": (_NUMBER, "a number"), "q_uv": (_NUMBER, "a number"),
+               "q_vu": (_NUMBER, "a number")}
+
+
 def load_json(path: str) -> NetworkModel:
     """Load a network from the JSON schema written by :func:`save_json`."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -400,6 +410,11 @@ def load_json(path: str) -> NetworkModel:
             q[(e["v"], e["u"])] = e.get("q_vu", 0.0)
     except (TypeError, KeyError) as exc:
         raise ValueError(f"{path}: malformed entry: {exc}") from exc
+    ints = chain(map(itemgetter(0), node_specs), map(itemgetter(1), node_specs),
+                 chain.from_iterable(edge_specs))
+    numbers = chain(map(itemgetter(2), node_specs), q.values())
+    if not (set(map(type, ints)) <= _INTEGER and set(map(type, numbers)) <= _NUMBER):
+        _refuse_json_types(path, doc)
     if len(q) < 2 * len(edge_specs):
         # an edge given twice would overwrite the first one's q values
         seen: set[frozenset] = set()
@@ -408,6 +423,18 @@ def load_json(path: str) -> NetworkModel:
                 raise ValueError(f"{path}: duplicate edge ({u}, {v})")
             seen.add(frozenset((u, v)))
     return build_network(node_specs, edge_specs, q=q)
+
+
+def _refuse_json_types(path: str, doc: dict) -> None:
+    """Raise for the first node or edge field of ``doc`` whose value is not
+    of its JSON type."""
+    for group, keys in (("nodes", ("id", "type", "p")), ("edges", ("u", "v", "q_uv", "q_vu"))):
+        for i, entry in enumerate(doc[group]):
+            for key in keys:
+                types, kind = _JSON_TYPES[key]
+                value = entry.get(key, 0.0)
+                if type(value) not in types:
+                    raise ValueError(f"{path}: {group}[{i}]: {key!r} must be {kind}, got {value!r}")
 
 
 def save_json(net: NetworkModel, path: str) -> None:

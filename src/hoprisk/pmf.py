@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
-import csv
+import math
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = ["JointPmf", "NORMALIZATION_TOL"]
 
 NORMALIZATION_TOL = 1e-9
+
+# Grid-CSV rows formatted per write; bounds the text held for any table size.
+_CSV_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,50 +68,105 @@ class JointPmf:
         for idx in np.ndindex(*self.dims):
             yield idx, float(self.probs[idx])
 
-    def write_csv(self, fh: TextIO) -> None:
-        header = [f"x_{i + 1}" for i in range(self.num_types)] + ["prob"]
-        fh.write(",".join(header) + "\n")
-        for idx, prob in self.cells():
-            fh.write(",".join(str(v) for v in idx) + f",{prob:.17g}\n")
+    def _table(self) -> np.ndarray:
+        """One row per cell in C order: the count vector, then its probability."""
+        cells = np.indices(self.dims).reshape(self.num_types, -1)
+        return np.column_stack((*cells, self.probs.reshape(-1)))
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            self.write_csv(fh)
+        _write_table(path, [f"x_{i + 1}" for i in range(self.num_types)] + ["prob"],
+                     ["%d"] * self.num_types + ["%.17g"], self._table())
 
     @classmethod
     def from_csv(cls, path: str) -> "JointPmf":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[-1] != "prob" or len(header) < 2:
-                raise ValueError(f"{path}: not a PMF CSV (bad header)")
-            m = len(header) - 1
-            if header[:m] != [f"x_{i + 1}" for i in range(m)]:
-                raise ValueError(f"{path}: not a PMF CSV (bad header)")
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != m + 1:
-                    raise ValueError(f"{path}: row with {len(row)} fields, expected {m + 1}")
-                idx = tuple(int(v) for v in row[:m])
-                if min(idx) < 0:
-                    raise ValueError(f"{path}: negative cell index {idx}")
-                rows.append((idx, float(row[m])))
-        if not rows:
-            raise ValueError(f"{path}: empty PMF CSV")
-        if len({idx for idx, _ in rows}) < len(rows):
-            raise ValueError(f"{path}: duplicate cell rows")
-        dims = tuple(max(idx[i] for idx, _ in rows) + 1 for i in range(m))
-        expected = 1
-        for d in dims:
-            expected *= d
-        if len(rows) != expected:
-            raise ValueError(f"{path}: expected {expected} rows for dims {dims}, got {len(rows)}")
-        probs = np.zeros(dims)
-        for idx, prob in rows:
-            probs[idx] = prob
+        grid = _read_grid(path, "PMF", None, ["prob"], 0, np.float64)
         try:
-            return cls(dims, probs)
+            return cls(grid.shape[:-1], grid[..., 0])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_grid(
+    path: str,
+    what: str,
+    keys: list[str] | None,
+    values: list[str] | None,
+    base: int,
+    value_type: type,
+) -> np.ndarray:
+    """Read a grid CSV: one row for each cell of a full integer grid.
+
+    The header is the ``keys`` columns, then the ``values`` columns; one of
+    the two is None, standing for the count columns ``x_1..x_m`` (m >= 1,
+    read from the header). Every key is a base-10 integer >= ``base`` and
+    every value a non-negative ``value_type``. Rows may come in any order,
+    blank lines are skipped, and there are no comment lines. Returns the
+    values in C order of the keys, shaped ``grid + (len(values),)`` where
+    ``grid[i]`` is the largest i-th key minus ``base``, plus 1.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        body = fh.read().split("\n")
+    xs = [f"x_{i + 1}" for i in range(len(header) - len(keys or values))]
+    keys, values = keys or xs, values or xs
+    if not xs or header != keys + values:
+        raise ValueError(f"{path}: not a {what} CSV (bad header)")
+    if not any(body):
+        raise ValueError(f"{path}: no {what} rows")
+    dtype = np.dtype([("key", np.int64, (len(keys),)), ("value", value_type, (len(values),))])
+
+    def parse(lines: list[str]) -> np.ndarray | None:
+        try:
+            # older numpy reads "2.5" as the integer 2, warning that parsing
+            # an integer via a float is deprecated: refuse it
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                return np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=1, comments=None)
+        except (ValueError, DeprecationWarning):
+            return None
+
+    def line_of(row: int) -> int:
+        return [n for n, line in enumerate(body, start=2) if line][row]
+
+    table = parse(body)
+    if table is None:
+        n, line = next((n, line) for n, line in enumerate(body, start=2)
+                       if line and parse([line]) is None)
+        if np.issubdtype(value_type, np.integer):
+            expected = f"{len(header)} comma-separated base-10 integers"
+        else:
+            expected = f"{len(keys)} comma-separated base-10 integers and {len(values)} number"
+        raise ValueError(f"{path}: line {n}: expected {expected}, got {line!r}")
+    key, value = table["key"], table["value"]
+    if key.min() < base or value.min() < 0:
+        n = line_of(((key < base).any(axis=1) | (value < 0).any(axis=1)).argmax())
+        raise ValueError(f"{path}: line {n}: {', '.join(keys)} must be >= {base} and "
+                         f"{', '.join(values)} non-negative, got {body[n - 2]!r}")
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    same = (key[1:] == key[:-1]).all(axis=1)
+    if same.any():
+        j = same.argmax()
+        raise ValueError(f"{path}: line {line_of(order[j + 1])}: duplicate cell "
+                         f"({', '.join(keys)}), first given on line {line_of(order[j])}")
+    grid = tuple(int(k) - base + 1 for k in key.max(axis=0))
+    if len(key) != math.prod(grid):
+        raise ValueError(f"{path}: missing cells: {len(key)} rows for the "
+                         f"{' x '.join(map(str, grid))} grid of ({', '.join(keys)})")
+    # distinct cells, as many as the grid has: sorted, they are the grid
+    return value[order].reshape(grid + (len(values),))
+
+
+def _write_table(path: str, header: list[str], fmt: list[str],
+                 table: np.ndarray | list[tuple]) -> None:
+    """Write the ``header`` names, then one line per row of ``table`` (a 2-D
+    array, or a list of row tuples), each column formatted with its %-format
+    in ``fmt``; ``_CSV_ROWS`` rows are formatted at a time, which bounds the
+    text held for any table size."""
+    row = ",".join(fmt) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for r0 in range(0, len(table), _CSV_ROWS):
+            chunk = table[r0 : r0 + _CSV_ROWS]
+            cells = chunk.ravel().tolist() if isinstance(chunk, np.ndarray) else chain(*chunk)
+            fh.write(row * len(chunk) % tuple(cells))

@@ -99,7 +99,7 @@ def parse_rules(text: str, type_sizes: Sequence[int] | None = None) -> ScoreRule
     if not isinstance(doc, dict) or "default" not in doc:
         raise ValueError("rules JSON must be an object with a 'default' score")
     default = doc["default"]
-    if not isinstance(default, int) or default < 0:
+    if isinstance(default, bool) or not isinstance(default, int) or default < 0:
         raise ValueError(f"default score must be a non-negative integer: {default!r}")
     raw_rules = doc.get("rules", [])
     if not isinstance(raw_rules, list):
@@ -110,7 +110,7 @@ def parse_rules(text: str, type_sizes: Sequence[int] | None = None) -> ScoreRule
         if not isinstance(entry, dict) or "pattern" not in entry or "score" not in entry:
             raise ValueError(f"rule entry needs 'pattern' and 'score': {entry!r}")
         score = entry["score"]
-        if not isinstance(score, int) or score < 0:
+        if isinstance(score, bool) or not isinstance(score, int) or score < 0:
             raise ValueError(f"score must be a non-negative integer: {score!r}")
         pattern = _parse_pattern(entry["pattern"])
         if arity is None:

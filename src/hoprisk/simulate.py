@@ -26,14 +26,13 @@ depth variants at one seed are coupled (common random numbers).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .network import NetworkModel
-from .pmf import JointPmf
+from .pmf import JointPmf, _read_grid, _write_table
 
 __all__ = [
     "STREAM",
@@ -49,9 +48,6 @@ STREAM = "philox4x64-slots-v1"
 
 # Uniforms drawn and propagated at a time; bounds memory for any run count.
 _BLOCK_CELLS = 1 << 18
-
-# Sample CSV rows formatted per write; bounds the text held for any run count.
-_CSV_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,64 +105,19 @@ class SampleMatrix:
         runs, depth, m = self.counts.shape
         k, l = np.divmod(np.arange(runs * depth, dtype=np.int64), depth)
         table = np.column_stack((k + 1, l + 1, self.counts.reshape(-1, m)))
-        row = ",".join(["%d"] * (2 + m)) + "\n"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(["run", "depth"] + [f"x_{t + 1}" for t in range(m)]) + "\n")
-            for r0 in range(0, len(table), _CSV_ROWS):
-                chunk = table[r0 : r0 + _CSV_ROWS]
-                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+        _write_table(path, ["run", "depth"] + [f"x_{t + 1}" for t in range(m)],
+                     ["%d"] * (2 + m), table)
 
     @classmethod
     def from_csv(cls, path: str, type_sizes: Sequence[int] | None = None) -> "SampleMatrix":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            body = fh.read().split("\n")
-        m = len(header) - 2
-        if m < 1 or header != ["run", "depth"] + [f"x_{t + 1}" for t in range(m)]:
-            raise ValueError(f"{path}: not a sample CSV (bad header)")
-        if not any(body):
-            raise ValueError(f"{path}: no sample rows")
-        table = _int_table(body, m + 2)
-        if table is None:
-            n, line = next((n, line) for n, line in enumerate(body, start=2)
-                           if line and _int_table([line], m + 2) is None)
-            raise ValueError(f"{path}: line {n}: expected {m + 2} comma-separated "
-                             f"base-10 integers, got {line!r}")
-        run, dep, xs = table[:, 0], table[:, 1], table[:, 2:]
-        bad = (run < 1) | (dep < 1) | (xs < 0).any(axis=1)
-        if bad.any():
-            k, l = table[bad.argmax(), :2]
-            raise ValueError(f"{path}: run {k}, depth {l}: run and depth must be >= 1, "
-                             "counts non-negative")
-        order = np.lexsort((dep, run))
-        cells = table[order, :2]
-        if (cells[1:] == cells[:-1]).all(axis=1).any():
-            raise ValueError(f"{path}: duplicate (run, depth) rows")
-        runs, depth = int(run.max()), int(dep.max())
-        if len(table) != runs * depth:
-            raise ValueError(f"{path}: missing (run, depth) rows")
-        # distinct cells, as many as the grid has: sorted, they are the grid
-        counts = xs[order].reshape(runs, depth, m)
+        counts = _read_grid(path, "sample", ["run", "depth"], None, 1, np.int64)
+        m = counts.shape[2]
         sizes = tuple(int(s) for s in type_sizes) if type_sizes is not None else None
         if sizes is not None and len(sizes) != m:
             raise ValueError(f"{path}: {m} count columns but {len(sizes)} type sizes")
         if sizes is not None and (counts > np.array(sizes)).any():
             raise ValueError(f"{path}: a count exceeds its type size {sizes}")
-        return cls(counts=counts, depth=depth, master_seed=None, type_sizes=sizes)
-
-
-def _int_table(lines: list[str], width: int) -> np.ndarray | None:
-    """The non-blank ``lines`` as an int64 table, or None unless each holds
-    ``width`` comma-separated base-10 integers."""
-    try:
-        # older numpy reads "2.5" as 2, warning that parsing an integer via
-        # a float is deprecated: refuse it
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    except (ValueError, DeprecationWarning):
-        return None
-    return table if table.shape[1] == width else None
+        return cls(counts=counts, depth=counts.shape[1], master_seed=None, type_sizes=sizes)
 
 
 def _slots(net: NetworkModel) -> int:
@@ -269,7 +220,14 @@ def empirical_pmf(
         raise ValueError("type sizes unknown; pass type_sizes explicitly")
     if samples.runs < 1:
         raise ValueError("no samples")
+    if len(sizes) != samples.num_types:
+        raise ValueError(f"{len(sizes)} type sizes for {samples.num_types} types")
     block = samples.at_depth(depth)
+    over = block > np.asarray(sizes)
+    if over.any():
+        k, t = np.argwhere(over)[0]
+        raise ValueError(f"run {k + 1}, depth {depth}: count {block[k, t]} of type {t + 1} "
+                         f"exceeds its size {sizes[t]}")
     dims = tuple(int(s) + 1 for s in sizes)
     hist = np.zeros(dims)
     np.add.at(hist, tuple(block[:, t] for t in range(samples.num_types)), 1.0)

@@ -250,6 +250,25 @@ def test_order_check_rejects_bad_scale(k5_path, capsys, flag, value):
     assert f"{flag} must be finite and >= 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--depths", "1", "2", "--tol", "nan"], "--tol must be finite and >= 0, got nan"),
+        (["--depths", "1", "2", "--tol", "-1"], "--tol must be finite and >= 0, got -1.0"),
+        (["-L", "2", "--q-scale", "2", "--tol", "inf"], "--tol must be finite and >= 0, got inf"),
+        (["--depths", "1", "2", "-L", "3"],
+         "-L/--depth is for --p-scale/--q-scale; --depths gives the depths"),
+    ],
+)
+def test_order_check_refuses_bad_tol_and_depth_with_depths(tmp_path, capsys, argv, message):
+    # refused before the network is read: the file does not exist
+    missing = str(tmp_path / "missing.json")
+    assert main(["order-check", "--network", missing] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_order_check_argument_validation(k5_path, capsys):
     assert main(["order-check", "--network", k5_path]) != 0
     assert main(["order-check", "--network", k5_path, "--p-scale", "1.5"]) != 0

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -253,3 +254,34 @@ def test_range_errors_name_the_first_offending_node_or_pair():
     q = {(0, 1): 0.5, (0, 2): 0.3, (2, 0): 0.1}
     with pytest.raises(ValueError, match=r"^q given for \(0, 2\) but \{0, 2\} is not an edge$"):
         build_network(nodes, [(0, 1), (1, 2)], q=q)
+
+
+@pytest.mark.parametrize(
+    "where, key, value, kind",
+    [
+        ("nodes[1]", "id", "1.0", "an integer"),
+        ("nodes[1]", "type", "1.7", "an integer"),
+        ("nodes[1]", "type", "true", "an integer"),
+        ("nodes[1]", "p", "true", "a number"),
+        ("nodes[1]", "p", '"0.5"', "a number"),
+        ("edges[0]", "u", "false", "an integer"),
+        ("edges[0]", "v", '"1"', "an integer"),
+        ("edges[0]", "q_uv", '"0.3"', "a number"),
+        ("edges[0]", "q_vu", "false", "a number"),
+        ("edges[0]", "q_vu", "null", "a number"),
+    ],
+)
+def test_json_fields_must_have_their_json_types(tmp_path, where, key, value, kind):
+    doc = {"nodes": [{"id": 0, "type": 0, "p": 0.1}, {"id": 1, "type": 1, "p": 0.2}],
+           "edges": [{"u": 0, "v": 1, "q_uv": 0.3, "q_vu": 0.4}]}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert load_json(str(path)).types == (0, 1)
+    group, i = where[:-3], int(where[-2])
+    doc[group][i][key] = json.loads(value)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_json(str(path))
+    assert str(err.value) == f"{path}: {where}: {key!r} must be {kind}, got {json.loads(value)!r}"
+    # in memory, numbers are converted as before
+    assert build_network([(0, 0, True), (1, 1, "0.5")], [(0, 1)], q=0.3).p == (1.0, 0.5)

@@ -43,7 +43,7 @@ from hoprisk import (
     with_type_probabilities,
 )
 import hoprisk.exact
-import hoprisk.simulate
+import hoprisk.pmf
 from hoprisk.cli import main
 from hoprisk.exact import _MAX_CELLS
 
@@ -247,9 +247,31 @@ def test_sample_csv_bytes_match_a_row_by_row_writer(tmp_path_factory, runs, dept
                                                     high, seed, chunk):
     samples = SampleMatrix(_random_counts(runs, depth, types, high, seed), depth, None, None)
     path = tmp_path_factory.mktemp("samples") / "s.csv"
-    with mock.patch.object(hoprisk.simulate, "_CSV_ROWS", chunk):
+    with mock.patch.object(hoprisk.pmf, "_CSV_ROWS", chunk):
         samples.to_csv(str(path))
     assert path.read_bytes() == _row_by_row_sample_csv(samples)
+
+
+def _cell_by_cell_pmf_csv(pmf: JointPmf) -> bytes:
+    lines = [",".join(f"x_{i + 1}" for i in range(pmf.num_types)) + ",prob"]
+    for idx in np.ndindex(*pmf.dims):
+        lines.append(",".join(str(v) for v in idx) + f",{float(pmf.probs[idx]):.17g}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(1, 9), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 7, 1 << 16]))
+def test_pmf_csv_bytes_match_a_cell_by_cell_writer(tmp_path_factory, dims, seed, chunk):
+    # exact zeros, and probabilities over many decades (exponent notation)
+    weights = np.random.default_rng(seed).random(dims) ** 8
+    weights.flat[-1] = 1.0
+    weights[weights < 1e-3] = 0.0
+    pmf = JointPmf(tuple(dims), weights / weights.sum())
+    path = tmp_path_factory.mktemp("pmf") / "p.csv"
+    with mock.patch.object(hoprisk.pmf, "_CSV_ROWS", chunk):
+        pmf.to_csv(str(path))
+    assert path.read_bytes() == _cell_by_cell_pmf_csv(pmf)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

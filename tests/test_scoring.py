@@ -71,6 +71,20 @@ def test_parse_errors():
         parse_rules('{"default": 0, "rules": [{"pattern": ["*"], "score": -1}]}')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"default": true, "rules": []}', "default score must be a non-negative integer: True"),
+        ('{"default": 0, "rules": [{"pattern": ["==0"], "score": false}]}',
+         "score must be a non-negative integer: False"),
+    ],
+)
+def test_parse_refuses_boolean_scores(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_rules(text)
+    assert str(err.value) == message
+
+
 def test_first_match_wins_and_order_matters():
     overlapping = (
         '{"default": 9, "rules": ['

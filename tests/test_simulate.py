@@ -192,6 +192,22 @@ def test_empirical_pmf_requires_sizes():
     assert empirical_pmf(sm, 1, type_sizes=(2, 3)).probs[0, 0] == 1.0
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((2, 2), "run 2, depth 1: count 3 of type 2 exceeds its size 2"),
+        ((2,), "1 type sizes for 2 types"),
+        ((2, 3, 4), "3 type sizes for 2 types"),
+    ],
+)
+def test_empirical_pmf_names_a_type_size_mismatch(sizes, message):
+    counts = np.array([[[0, 0]], [[2, 3]]], dtype=np.int64)
+    sm = SampleMatrix(counts=counts, depth=1, master_seed=None, type_sizes=None)
+    with pytest.raises(ValueError) as err:
+        empirical_pmf(sm, 1, type_sizes=sizes)
+    assert str(err.value) == message
+
+
 def test_empirical_matches_exact_on_tiny_net():
     # million-run agreement with the exact distribution, cell by cell
     net = build_network(
@@ -300,6 +316,39 @@ def test_sample_csv_rejects_ragged_rows_comments_and_blank_fields(tmp_path, body
     with pytest.raises(ValueError, match=r"line \d: expected 3 comma-separated") as err:
         SampleMatrix.from_csv(str(path))
     assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("line", ["1.0,0,0.5", "abc,0,0.5", ",0,0.5", "1,0,", "1,0",
+                                  "1,0,0.5,7", "# note", " "])
+def test_pmf_csv_names_the_file_and_line_of_a_malformed_row(tmp_path, line):
+    path = tmp_path / "pmf.csv"
+    path.write_text(f"x_1,x_2,prob\n0,0,0.5\n\n{line}\n")
+    with pytest.raises(ValueError) as err:
+        JointPmf.from_csv(str(path))
+    assert str(err.value) == (f"{path}: line 4: expected 2 comma-separated base-10 integers "
+                              f"and 1 number, got {line!r}")
+
+
+@pytest.mark.parametrize(
+    "reader, header, body, message",
+    [
+        (SampleMatrix.from_csv, "run,depth,x_1", "1,1,0\n1,2,0\n\n1,1,5\n",
+         "line 5: duplicate cell (run, depth), first given on line 2"),
+        (SampleMatrix.from_csv, "run,depth,x_1,x_2", "1,1,0,0\n1,2,0,-3\n",
+         "line 3: run, depth must be >= 1 and x_1, x_2 non-negative, got '1,2,0,-3'"),
+        (JointPmf.from_csv, "x_1,prob", "0,0.5\n1,-0.5\n",
+         "line 3: x_1 must be >= 0 and prob non-negative, got '1,-0.5'"),
+        (JointPmf.from_csv, "x_1,x_2,prob", "0,0,0.5\n1,1,0.5\n",
+         "missing cells: 2 rows for the 2 x 2 grid of (x_1, x_2)"),
+        (JointPmf.from_csv, "x_1,prob", "\n\n", "no PMF rows"),
+    ],
+)
+def test_grid_csv_errors_name_the_file_and_line(tmp_path, reader, header, body, message):
+    path = tmp_path / "grid.csv"
+    path.write_text(f"{header}\n{body}")
+    with pytest.raises(ValueError) as err:
+        reader(str(path))
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_sample_csv_skips_blank_lines(tmp_path):
