@@ -2,7 +2,9 @@
 
 Every command is a pure function of its inputs, flags, and seed; a JSON
 manifest recording the command, parameters, seed, and output digests is
-written next to each output file.
+written next to each output file. Each ``cmd_*`` writes its outputs and
+returns the inputs, parameters and outputs of its manifest, which ``main``
+writes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .exact import ExactEngineCapError, joint_pmf
+from .exact import joint_pmf
 from .network import (
     assign_types_by_degree,
     build_network,
@@ -32,6 +34,9 @@ from .simulate import STREAM, SampleMatrix, simulate_runs
 from .stats import _depth_moments, check_orthant_monotone, marginal_moments, pairwise_correlations
 
 PROG = "hoprisk"
+
+# a command's manifest: its input files, its parameters and its output files
+Manifest = tuple[dict[str, str], dict, list[str]]
 
 
 def _sha256(path: str) -> str:
@@ -77,40 +82,27 @@ def _parse_prob_list(raw: str, label: str) -> list[float]:
     return vals
 
 
-def cmd_exact(args: argparse.Namespace) -> int:
+def cmd_exact(args: argparse.Namespace) -> Manifest:
     net = load_json(args.network)
     pmf = joint_pmf(net, args.depth)
     pmf.to_csv(args.out)
-    _write_manifest(
-        args.out,
-        "exact",
-        {"network": args.network},
-        {"depth": args.depth, "seed": None},
-        [args.out],
-    )
-    return 0
+    return {"network": args.network}, {"depth": args.depth, "seed": None}, [args.out]
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> Manifest:
     net = load_json(args.network)
     seed = _resolve_seed(args.seed)
     samples = simulate_runs(net, args.depth, args.runs, seed)
     samples.to_csv(args.out)
-    _write_manifest(
-        args.out,
-        "simulate",
-        {"network": args.network},
-        {"depth": args.depth, "runs": args.runs, "seed": seed, "stream": STREAM},
-        [args.out],
-    )
-    return 0
+    parameters = {"depth": args.depth, "runs": args.runs, "seed": seed, "stream": STREAM}
+    return {"network": args.network}, parameters, [args.out]
 
 
 def _fmt(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.17g}"
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> Manifest:
     with open(args.input, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
     moments_path = args.out + ".moments.csv"
@@ -148,33 +140,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
             outputs.append(contour_path)
     else:
         raise ValueError(f"{args.input}: neither a sample CSV nor a PMF CSV")
-    _write_manifest(
-        args.out,
-        "stats",
-        {"input": args.input},
-        {"seed": None},
-        outputs,
-    )
-    return 0
+    return {"input": args.input}, {"seed": None}, outputs
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace) -> Manifest:
     pmf = JointPmf.from_csv(args.pmf)
     with open(args.rules, "r", encoding="utf-8") as fh:
         rules = parse_rules(fh.read())
     dist = score_distribution(rules, pmf)
     _write_table(args.out, ["score", "prob"], ["%d", "%.17g"], list(dist.items()))
-    _write_manifest(
-        args.out,
-        "score",
-        {"pmf": args.pmf, "rules": args.rules},
-        {"seed": None},
-        [args.out],
-    )
-    return 0
+    return {"pmf": args.pmf, "rules": args.rules}, {"seed": None}, [args.out]
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace) -> Manifest:
     seed = _resolve_seed(args.seed)
     net = generate_ba(args.nodes, args.attach, args.init, seed, args.seed_topology)
     if args.top_k is not None:
@@ -184,27 +162,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
         q_by_type = _parse_prob_list(args.q, "--q") if args.q else [0.0] * net.num_types
         net = with_type_probabilities(net, p_by_type, q_by_type)
     save_json(net, args.out)
-    _write_manifest(
-        args.out,
-        "generate",
-        {},
-        {
-            "model": "ba",
-            "nodes": args.nodes,
-            "attach": args.attach,
-            "init": args.init,
-            "seed_topology": args.seed_topology,
-            "top_k": args.top_k,
-            "p": args.p,
-            "q": args.q,
-            "seed": seed,
-        },
-        [args.out],
-    )
-    return 0
+    parameters = {
+        "model": "ba",
+        "nodes": args.nodes,
+        "attach": args.attach,
+        "init": args.init,
+        "seed_topology": args.seed_topology,
+        "top_k": args.top_k,
+        "p": args.p,
+        "q": args.q,
+        "seed": seed,
+    }
+    return {}, parameters, [args.out]
 
 
-def cmd_order_check(args: argparse.Namespace) -> int:
+def cmd_order_check(args: argparse.Namespace) -> Manifest | None:
     scales = {k: v for k, v in (("p", args.p_scale), ("q", args.q_scale)) if v is not None}
     for name, scale in scales.items():
         if not (math.isfinite(scale) and scale >= 0.0):
@@ -242,24 +214,19 @@ def cmd_order_check(args: argparse.Namespace) -> int:
         raise ValueError("provide --depths or --p-scale/--q-scale")
     text = "\n".join(report.summary() for report in reports) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_manifest(
-            args.out,
-            "order-check",
-            {"network": args.network},
-            {
-                "depths": args.depths,
-                "depth": args.depth,
-                "p_scale": args.p_scale,
-                "q_scale": args.q_scale,
-                "tol": args.tol,
-                "seed": None,
-            },
-            [args.out],
-        )
-    return 0
+    if not args.out:
+        return None
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    parameters = {
+        "depths": args.depths,
+        "depth": args.depth,
+        "p_scale": args.p_scale,
+        "q_scale": args.q_scale,
+        "tol": args.tol,
+        "seed": None,
+    }
+    return {"network": args.network}, parameters, [args.out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,13 +305,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ExactEngineCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        manifest = args.func(args)
+        if manifest is not None:
+            _write_manifest(args.out, args.command, *manifest)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

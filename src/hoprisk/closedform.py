@@ -13,9 +13,9 @@ next front. One engine runs this chain for every topology here, at any depth,
 so these are exact fast paths, not approximations; the test suite checks them
 against the general engine.
 
-The state is a dense array with two axes per class. Its size and that of the
-per-class binomial tables are checked against a fixed budget before anything
-is allocated, and networks above it raise :class:`ExactEngineCapError`.
+The state is a dense array with two axes per class. It and the per-class
+binomial tables are reserved in the exact engine's cell budget before
+anything is allocated; networks above it raise :class:`ExactEngineCapError`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import _MAX_CELLS, ExactEngineCapError, _make_room
+from .exact import _reserve
 from .pmf import JointPmf
 
 __all__ = [
@@ -125,13 +125,7 @@ def _chain_binomial(
         for t in range(k)
     )
     # the round contraction needs a few state-sized temporaries on top
-    if state_cells + table_cells > _MAX_CELLS:
-        raise ExactEngineCapError(
-            f"class sizes {tuple(sizes)} need {state_cells + table_cells} float64 "
-            f"cells, above the lumped engine's budget of {_MAX_CELLS}; use the "
-            "`simulate` command / simulate_runs() instead"
-        )
-    _make_room(state_cells + table_cells)
+    _reserve(state_cells + table_cells, f"class sizes {tuple(sizes)}")
 
     # einsum axes: class t's count c_t is 2t, its front f_t 2t+1, its new hits 2k+t
     state = reduce(np.multiply.outer, [np.diag(start) for start in starts])

@@ -26,16 +26,16 @@ limit, and it refuses networks above 14 nodes with
 :class:`ExactEngineCapError`. From 13 nodes on, the factors of the chunks
 past the budget are computed in each round instead. A held plan takes the
 stored factors plus at most 3^N + (N(N - 1)/4 + N + 3) 2^N cells for the
-layout and the 1 - q arrays of the other chunks. It counts against the same
-budget as the other engines' arrays: before allocating, they drop it if it
-would not fit beside them.
+layout and the 1 - q arrays of the other chunks. The lumped engine in
+closedform and the table of stats.correlations share the budget: they, too,
+reserve their cells with _reserve, which drops the plan to make room.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,16 +51,15 @@ __all__ = [
     "joint_pmf",
 ]
 
-# float64 (or int64) cells an exact engine may hold at once (128 MiB); shared
-# with the lumped engine in closedform and stats.correlations, and the plan
-# the exact engine holds between calls counts against it (see _make_room)
+# float64 (or int64) cells an exact engine may hold at once (128 MiB); only
+# _reserve checks a request against it
 _MAX_CELLS = 1 << 24
 
 NodeSet = Iterable[int]
 
 
-class ExactEngineCapError(RuntimeError):
-    """Raised when a network is too large for an exact engine to finish."""
+class ExactEngineCapError(RuntimeError, ValueError):
+    """Raised when a request is above the cell budget; also a ``ValueError``."""
 
 
 def _mask(net: NetworkModel, nodes: NodeSet) -> int:
@@ -92,12 +91,7 @@ def _chunk_size(n: int) -> tuple[int, int]:
     """
     held = 3 * 3**n + (n * (n - 1) // 4 + n + 8) * 2**n
     per_c = 4 * 2**n
-    if held + per_c > _MAX_CELLS:
-        raise ExactEngineCapError(
-            f"{n} nodes need over 3 * 3^{n} float64 cells, above the exact "
-            f"engine's budget of {_MAX_CELLS}; use the `simulate` command / "
-            "simulate_runs() instead"
-        )
+    _reserve(held + per_c, f"{n} nodes")
     chunk = (_MAX_CELLS - held) // per_c
     kernel = max(
         min(chunk, math.comb(n, k))
@@ -252,28 +246,34 @@ def _plan(net: NetworkModel) -> tuple[_Layout, list]:
     return layout, factors
 
 
-def _make_room(cells: int) -> None:
-    """Drop the held plan if it and ``cells`` cells of another engine would
-    not fit in the budget together."""
+def _reserve(
+    cells: int, what: str, advice: str = "; use the `simulate` command / simulate_runs() instead"
+) -> None:
+    """Before allocating ``cells`` cells: refuse them, naming ``what`` needs
+    them, if they are above the budget, and otherwise drop the held plan if
+    it and they would not fit in the budget together."""
     global _last
+    if cells > _MAX_CELLS:
+        # an N-node exact engine asks for about 3^N cells, thousands of digits
+        # for large N: past 2^53, name the power of 2 below the count
+        amount = cells if cells < 1 << 53 else f"over 2^{cells.bit_length() - 1}"
+        raise ExactEngineCapError(
+            f"{what} need {amount} cells, above the budget of {_MAX_CELLS}{advice}"
+        )
     if _last is not None and _last[3] + cells > _MAX_CELLS:
         _last = None
 
 
-def _set_probs(net: NetworkModel, depth: int, sources: int | None = None) -> np.ndarray:
+def _set_probs(net: NetworkModel, depth: int) -> np.ndarray:
     """``out[C]`` = probability that exactly C is compromised after ``depth``
-    rounds, started by the direct attack or, if given, from exactly the mask
-    ``sources`` compromised directly."""
+    rounds, started by the direct attack."""
     n = net.n_nodes
     layout, factors = _plan(net)
     state = np.zeros(3**n)
-    if sources is None:
-        direct = np.ones(1)
-        for pi in net.p:
-            direct = np.concatenate([direct * (1.0 - pi), direct * pi])
-        state[layout.full] = direct
-    else:
-        state[layout.full[sources]] = 1.0
+    direct = np.ones(1)
+    for pi in net.p:
+        direct = np.concatenate([direct * (1.0 - pi), direct * pi])
+    state[layout.full] = direct
     for _ in range(min(depth, n)):
         nxt = np.empty_like(state)
         for (lo, hi, target, _, _), chunk in zip(layout.chunks, factors):
@@ -304,7 +304,9 @@ def r_prob(
     if not target <= active:
         raise ValueError("target set must be a subset of the active set")
     sub = induced_subnetwork(net, active)
-    return float(_set_probs(sub, depth, _mask(sub, sources))[_mask(sub, target)])
+    # p in {0, 1} makes the direct attack an exact point mass on sources
+    forced = replace(sub, p=tuple(float(v in sources) for v in sub.node_ids))
+    return float(_set_probs(forced, depth)[_mask(sub, target)])
 
 
 def one_hop_prob(

@@ -100,48 +100,56 @@ def _read_grid(
     the two is None, standing for the count columns ``x_1..x_m`` (m >= 1,
     read from the header). Every key is a base-10 integer >= ``base`` and
     every value a non-negative ``value_type``. Rows may come in any order,
-    blank lines are skipped, and there are no comment lines. Returns the
-    values in C order of the keys, shaped ``grid + (len(values),)`` where
-    ``grid[i]`` is the largest i-th key minus ``base``, plus 1.
+    blank lines are skipped, and there are no comment lines; rows are parsed
+    from the open file, never all held as strings. Returns the values in C
+    order of the keys, shaped ``grid + (len(values),)`` where ``grid[i]`` is
+    the largest i-th key minus ``base``, plus 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        body = fh.read().split("\n")
-    xs = [f"x_{i + 1}" for i in range(len(header) - len(keys or values))]
-    keys, values = keys or xs, values or xs
-    if not xs or header != keys + values:
-        raise ValueError(f"{path}: not a {what} CSV (bad header)")
-    if not any(body):
-        raise ValueError(f"{path}: no {what} rows")
-    dtype = np.dtype([("key", np.int64, (len(keys),)), ("value", value_type, (len(values),))])
+        xs = [f"x_{i + 1}" for i in range(len(header) - len(keys or values))]
+        keys, values = keys or xs, values or xs
+        if not xs or header != keys + values:
+            raise ValueError(f"{path}: not a {what} CSV (bad header)")
+        dtype = np.dtype([("key", np.int64, (len(keys),)), ("value", value_type, (len(values),))])
 
-    def parse(lines: list[str]) -> np.ndarray | None:
-        try:
-            # older numpy reads "2.5" as the integer 2, warning that parsing
-            # an integer via a float is deprecated: refuse it
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                return np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=1, comments=None)
-        except (ValueError, DeprecationWarning):
-            return None
+        def parse(lines: Iterable[str]) -> np.ndarray | None:
+            try:
+                with warnings.catch_warnings():
+                    # older numpy reads "2.5" as the integer 2, warning that
+                    # parsing an integer via a float is deprecated: refuse it
+                    warnings.simplefilter("error", DeprecationWarning)
+                    # no rows at all is reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    return np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=1, comments=None)
+            except (ValueError, DeprecationWarning):
+                return None
+
+        table = parse(fh)
+
+    def body() -> list[str]:
+        # the lines after the header, read again only to name one in an error
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().split("\n")[1:]
 
     def line_of(row: int) -> int:
-        return [n for n, line in enumerate(body, start=2) if line][row]
+        return [n for n, line in enumerate(body(), start=2) if line][row]
 
-    table = parse(body)
     if table is None:
-        n, line = next((n, line) for n, line in enumerate(body, start=2)
+        n, line = next((n, line) for n, line in enumerate(body(), start=2)
                        if line and parse([line]) is None)
         if np.issubdtype(value_type, np.integer):
             expected = f"{len(header)} comma-separated base-10 integers"
         else:
             expected = f"{len(keys)} comma-separated base-10 integers and {len(values)} number"
         raise ValueError(f"{path}: line {n}: expected {expected}, got {line!r}")
+    if not table.size:
+        raise ValueError(f"{path}: no {what} rows")
     key, value = table["key"], table["value"]
     if key.min() < base or value.min() < 0:
         n = line_of(((key < base).any(axis=1) | (value < 0).any(axis=1)).argmax())
         raise ValueError(f"{path}: line {n}: {', '.join(keys)} must be >= {base} and "
-                         f"{', '.join(values)} non-negative, got {body[n - 2]!r}")
+                         f"{', '.join(values)} non-negative, got {body()[n - 2]!r}")
     order = np.lexsort(key.T[::-1])
     key = key[order]
     same = (key[1:] == key[:-1]).all(axis=1)

@@ -7,9 +7,10 @@ distinct x and y values (Agresti, *Categorical Data Analysis*, sec. 2.4):
 Kendall's S sums each cell times the concordant minus discordant cells in
 the rows above it; Pearson and Spearman are the table-weighted correlations
 of the distinct values and of their mid-ranks. That costs O(n log n + r c)
-for n samples; a table above the exact engines' cell budget is refused
-before it is allocated. When a margin is constant, all three correlation
-measures are reported as explicitly undefined rather than silently zero.
+for n samples; the table is reserved in the exact engines' cell budget,
+which refuses one above it before it is allocated. When a margin is
+constant, all three correlation measures are reported as explicitly
+undefined rather than silently zero.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import _MAX_CELLS, _make_room
+from .exact import _reserve
 from .pmf import JointPmf
 from .simulate import SampleMatrix
 
@@ -142,8 +143,8 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> DependenceSummary:
 
     Returns the all-undefined summary when either margin is constant
     (correlation with a constant has no value). Raises ``ValueError`` on
-    non-finite input and when the contingency table of the distinct values
-    is above the cell budget.
+    non-finite input, and ``ExactEngineCapError`` (a ``ValueError``) when
+    the contingency table of the distinct values is above the cell budget.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -159,13 +160,8 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> DependenceSummary:
     if r == 1 or c == 1:
         return DependenceSummary(None, None, None)
     # the table and one working copy of it are the largest arrays held
-    if 2 * r * c > _MAX_CELLS:
-        raise ValueError(
-            f"x has {r} distinct values and y has {c}: their contingency table "
-            f"and its working copy need {2 * r * c} cells, above the budget of "
-            f"{_MAX_CELLS}"
-        )
-    _make_room(2 * r * c)
+    _reserve(2 * r * c, f"x has {r} distinct values and y has {c}: their "
+             "contingency table and its working copy", advice="")
     xv, yv = xs[x_first], ys[y_first]
     table = np.bincount(xv.searchsorted(xa) * c + yv.searchsorted(ya), minlength=r * c)
     table = table.reshape(r, c)

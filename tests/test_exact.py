@@ -11,6 +11,8 @@ import hoprisk.exact as exact_engine
 from hoprisk import (
     CompleteHomogParams,
     ExactEngineCapError,
+    TwoClassParams,
+    bipartite_pmf,
     build_network,
     complete_homog_pmf,
     complete_network,
@@ -224,6 +226,28 @@ def test_oversized_network_refused_before_allocating():
         tracemalloc.stop()
     # the state alone would be 3^20 doubles, about 26 GiB
     assert peak < 1 << 16
+
+
+def test_every_over_budget_request_is_refused_as_a_cap_and_value_error():
+    path = build_network([(i, 0, 0.1) for i in range(20)], [(i, i + 1) for i in range(19)], q=0.2)
+    x = np.arange(3000.0)  # a 3000 x 3000 table and its copy: 1.8e7 cells
+    requests = [
+        (lambda: joint_pmf(path, 2), True),
+        (lambda: bipartite_pmf(TwoClassParams(0.1, 0.1, 0.1, 0.1), 200, 200, depth=2), True),
+        # a table is not an engine: simulating would not shrink it
+        (lambda: correlations(x, x[::-1].copy()), False),
+    ]
+    for request, names_simulate in requests:
+        with pytest.raises(ExactEngineCapError) as err:
+            request()
+        assert isinstance(err.value, ValueError)
+        assert ("simulate" in str(err.value)) == names_simulate
+
+
+def test_refusal_of_a_request_past_2_53_cells_names_a_power_of_two():
+    # 3^9000 has 4295 digits, about Python's limit for printing an int
+    with pytest.raises(ExactEngineCapError, match=r"^9000 nodes need over 2\^14264 cells, "):
+        exact_engine._reserve(3**9000, "9000 nodes")
 
 
 def test_plan_is_dropped_with_its_network():

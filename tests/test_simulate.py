@@ -18,7 +18,7 @@ from hoprisk import (
 )
 from hoprisk.simulate import SampleMatrix, run_rng
 
-from oracle import random_network
+from oracle import brute_force_joint_pmf, random_network
 
 
 def test_single_run_nothing_happens():
@@ -355,3 +355,32 @@ def test_sample_csv_skips_blank_lines(tmp_path):
     path = tmp_path / "samples.csv"
     path.write_text("run,depth,x_1\n1,1,3\n\n1,2,4\n\n")
     assert SampleMatrix.from_csv(str(path)).counts.tolist() == [[[3], [4]]]
+
+
+def test_sample_csv_read_peaks_within_six_times_its_result(tmp_path):
+    path = tmp_path / "samples.csv"
+    counts = np.random.default_rng(5).integers(0, 50, size=(25000, 4, 2))
+    SampleMatrix(counts=counts, depth=4, master_seed=None, type_sizes=None).to_csv(str(path))
+    tracemalloc.start()
+    try:
+        loaded = SampleMatrix.from_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 10^5 rows: the lines of the file are never all held as strings
+    assert np.array_equal(loaded.counts, counts)
+    assert peak <= 6 * counts.nbytes
+
+
+def test_monte_carlo_matches_the_oracle():
+    rng = np.random.default_rng(77)
+    runs = 10**5
+    for i in range(20):
+        net = random_network(rng, max_nodes=6, max_edges=8)
+        samples = simulate_runs(net, 3, runs, 500 + i)
+        for depth in (1, 2, 3):
+            want = brute_force_joint_pmf(net, depth).probs
+            got = empirical_pmf(samples, depth).probs
+            assert np.array_equal(got[want == 0], want[want == 0])
+            # every cell within 4 binomial standard errors of the exact value
+            assert (np.abs(got - want) <= 4 * np.sqrt(want * (1 - want) / runs)).all()
