@@ -196,23 +196,16 @@ def complete_homog_pmf(params: CompleteHomogParams) -> JointPmf:
     return JointPmf(ways.shape, ways * (counts / subsets)[total])
 
 
-def _two_class_pmf(params: TwoClassParams, sizes: tuple[int, int], depth: int) -> JointPmf:
-    starts = [_binom_start(n, p) for n, p in zip(sizes, (params.p1, params.p2))]
-    q = ((0.0, params.q12), (params.q21, 0.0))
-    return JointPmf(tuple(n + 1 for n in sizes), _chain_binomial(sizes, starts, q, depth))
-
-
 def star_pmf(params: TwoClassParams, n: int, depth: int) -> JointPmf:
-    """Joint count distribution on a star with hub (class 1) and n-1 leaves.
+    """Joint count distribution on a star with hub (class 1) and n-1 leaves,
+    the complete bipartite graph K_{1,n-1}.
 
     Propagation on a star saturates after two rounds: later rounds have an
     empty front.
     """
     if n < 2:
         raise ValueError("a star needs at least 2 nodes")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return _two_class_pmf(params, (1, n - 1), depth)
+    return bipartite_pmf(params, 1, n - 1, depth)
 
 
 def bipartite_pmf(
@@ -223,4 +216,6 @@ def bipartite_pmf(
         raise ValueError("both sides must be nonempty")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return _two_class_pmf(params, (n1, n2), depth)
+    starts = [_binom_start(n1, params.p1), _binom_start(n2, params.p2)]
+    q = ((0.0, params.q12), (params.q21, 0.0))
+    return JointPmf((n1 + 1, n2 + 1), _chain_binomial((n1, n2), starts, q, depth))

@@ -11,6 +11,7 @@ implicit q of zero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
@@ -69,19 +70,24 @@ class NetworkModel:
     rather than directly. ``node_ids`` are unique and ascending; built
     networks use the dense labels ``0..N-1``, while induced subnetworks keep
     the ids of their parent. ``q`` holds an entry for every ordered pair on
-    every edge.
+    every edge and is the one stored form of the graph: ``edges``,
+    :meth:`degree` and ``csr`` derive from it.
     """
 
     node_ids: tuple[int, ...]
     types: tuple[int, ...]
     p: tuple[float, ...]
-    edges: frozenset[Edge]
     q: Mapping[Edge, float]
     num_types: int
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """The undirected edges, each as its ascending pair of node ids."""
+        return frozenset(_canon(u, v) for u, v in self.q)
 
     @cached_property
     def index_of(self) -> dict[int, int]:
@@ -96,23 +102,11 @@ class NetworkModel:
         return tuple(sizes)
 
     @cached_property
-    def neighbors(self) -> dict[int, tuple[int, ...]]:
-        nbr: dict[int, list[int]] = {v: [] for v in self.node_ids}
-        for u, v in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in nbr.items()}
-
-    @cached_property
     def csr(self) -> Adjacency:
         """The directed edges as arrays, sorted by (target, source) position."""
-        pairs = list(self.edges)
-        ends = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs))
-        ends = np.searchsorted(np.array(self.node_ids), ends).reshape(-1, 2)
-        src = np.concatenate((ends[:, 0], ends[:, 1]))
-        dst = np.concatenate((ends[:, 1], ends[:, 0]))
-        arcs = pairs + [(v, u) for u, v in pairs]
-        q = np.fromiter(map(self.q.__getitem__, arcs), float, len(arcs))
+        arcs = np.fromiter(chain.from_iterable(self.q), np.intp, 2 * len(self.q))
+        src, dst = np.searchsorted(np.array(self.node_ids), arcs).reshape(-1, 2).T
+        q = np.fromiter(self.q.values(), float, len(self.q))
         order = np.lexsort((src, dst))
         targets, starts = np.unique(dst[order], return_index=True)
         return Adjacency(
@@ -125,10 +119,7 @@ class NetworkModel:
         )
 
     def degree(self, node: int) -> int:
-        return len(self.neighbors[node])
-
-    def q_value(self, source: int, target: int) -> float:
-        return self.q.get((source, target), 0.0)
+        return int(np.count_nonzero(self.csr.src == self.index_of[node]))
 
 
 def _first_outside_unit(values: Iterable[float]) -> int | None:
@@ -136,6 +127,15 @@ def _first_outside_unit(values: Iterable[float]) -> int | None:
     a = np.fromiter(values, float)
     bad = np.flatnonzero(~((a >= 0.0) & (a <= 1.0)))
     return int(bad[0]) if bad.size else None
+
+
+def _probability(x: float) -> float:
+    """``float(x)``, reading an integer too large for a float as an infinity
+    of its sign, so that the range check refuses it."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def build_network(
@@ -166,7 +166,7 @@ def build_network(
     for t in range(num_types):
         if t not in types:
             raise ValueError(f"type {t} has no nodes")
-    p = tuple(float(n[2]) for n in nodes)
+    p = tuple(_probability(n[2]) for n in nodes)
     i = _first_outside_unit(p)
     if i is not None:
         raise ValueError(f"p for node {i} out of [0, 1]: {p[i]}")
@@ -182,9 +182,9 @@ def build_network(
 
     arcs = edges | {(v, u) for u, v in edges}
     if q is None or isinstance(q, (int, float)):
-        qmap = dict.fromkeys(arcs, 0.0 if q is None else float(q))
+        qmap = dict.fromkeys(arcs, 0.0 if q is None else _probability(q))
     else:
-        qmap = {pair: float(qij) for pair, qij in q.items()}
+        qmap = {pair: _probability(qij) for pair, qij in q.items()}
         if not qmap.keys() <= arcs:
             i, j = next(pair for pair in q if pair not in arcs)
             raise ValueError(f"q given for ({i}, {j}) but {{{i}, {j}}} is not an edge")
@@ -195,14 +195,7 @@ def build_network(
         pair = next(islice(qmap, i, None))
         raise ValueError(f"q for {pair} out of [0, 1]: {qmap[pair]}")
 
-    return NetworkModel(
-        node_ids=tuple(ids),
-        types=types,
-        p=p,
-        edges=frozenset(edges),
-        q=qmap,
-        num_types=num_types,
-    )
+    return NetworkModel(node_ids=tuple(ids), types=types, p=p, q=qmap, num_types=num_types)
 
 
 def induced_subnetwork(net: NetworkModel, nodes: Iterable[int]) -> NetworkModel:
@@ -219,17 +212,11 @@ def induced_subnetwork(net: NetworkModel, nodes: Iterable[int]) -> NetworkModel:
         raise ValueError(f"unknown node ids: {sorted(unknown)}")
     kept_ids = tuple(v for v in net.node_ids if v in keep)
     idx = net.index_of
-    edges = frozenset(e for e in net.edges if e[0] in keep and e[1] in keep)
-    qmap = {}
-    for u, v in edges:
-        qmap[(u, v)] = net.q[(u, v)]
-        qmap[(v, u)] = net.q[(v, u)]
     return NetworkModel(
         node_ids=kept_ids,
         types=tuple(net.types[idx[v]] for v in kept_ids),
         p=tuple(net.p[idx[v]] for v in kept_ids),
-        edges=edges,
-        q=qmap,
+        q={(u, v): qv for (u, v), qv in net.q.items() if u in keep and v in keep},
         num_types=net.num_types,
     )
 
@@ -301,10 +288,11 @@ def assign_types_by_degree(net: NetworkModel, top_k: int) -> NetworkModel:
     n = net.n_nodes
     if not 0 < top_k < n:
         raise ValueError(f"top_k must be in 1..{n - 1}")
-    ranked = sorted(net.node_ids, key=lambda v: (-net.degree(v), v))
-    top = set(ranked[:top_k])
-    types = tuple(0 if v in top else 1 for v in net.node_ids)
-    return replace(net, types=types, num_types=2)
+    # a stable sort keeps tied nodes in ascending position, so ascending id
+    ranked = np.argsort(-np.bincount(net.csr.src, minlength=n), kind="stable")
+    types = np.ones(n, dtype=int)
+    types[ranked[:top_k]] = 0
+    return replace(net, types=tuple(types.tolist()), num_types=2)
 
 
 def with_type_probabilities(
@@ -325,12 +313,9 @@ def with_type_probabilities(
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"probability out of [0, 1]: {val}")
     idx = net.index_of
-    p = tuple(float(p_by_type[net.types[idx[v]]]) for v in net.node_ids)
-    qmap = {}
-    for u, v in net.edges:
-        qmap[(u, v)] = float(q_by_type[net.types[idx[u]]])
-        qmap[(v, u)] = float(q_by_type[net.types[idx[v]]])
-    return replace(net, p=p, q=qmap)
+    p = tuple(float(p_by_type[t]) for t in net.types)
+    q = {(u, v): float(q_by_type[net.types[idx[u]]]) for u, v in net.q}
+    return replace(net, p=p, q=q)
 
 
 def complete_network(
@@ -351,16 +336,11 @@ def complete_network(
 def star_network(
     n: int, p_hub: float, p_leaf: float, q_hub_to_leaf: float, q_leaf_to_hub: float
 ) -> NetworkModel:
-    """Star on ``n`` nodes: hub is node 0 (type 0), leaves are type 1."""
+    """Star on ``n`` nodes, the complete bipartite graph K_{1,n-1}: hub is
+    node 0 (type 0), leaves are type 1."""
     if n < 2:
         raise ValueError("a star needs at least 2 nodes")
-    node_specs = [(0, 0, p_hub)] + [(i, 1, p_leaf) for i in range(1, n)]
-    edges = [(0, i) for i in range(1, n)]
-    q = {}
-    for i in range(1, n):
-        q[(0, i)] = q_hub_to_leaf
-        q[(i, 0)] = q_leaf_to_hub
-    return build_network(node_specs, edges, q=q)
+    return complete_bipartite_network(1, n - 1, p_hub, p_leaf, q_hub_to_leaf, q_leaf_to_hub)
 
 
 def complete_bipartite_network(
@@ -395,7 +375,7 @@ def load_json(path: str) -> NetworkModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise ValueError(f"{path}: missing 'nodes' key")

@@ -94,7 +94,7 @@ def parse_rules(text: str, type_sizes: Sequence[int] | None = None) -> ScoreRule
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"rules are not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "default" not in doc:
         raise ValueError("rules JSON must be an object with a 'default' score")

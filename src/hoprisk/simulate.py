@@ -87,6 +87,11 @@ class SampleMatrix:
     master_seed: int | None
     type_sizes: tuple[int, ...] | None
 
+    def __post_init__(self) -> None:
+        if self.counts.ndim != 3 or self.counts.shape[1] != self.depth:
+            raise ValueError(f"counts of shape {self.counts.shape} do not hold "
+                             f"(runs, depth {self.depth}, types)")
+
     @property
     def runs(self) -> int:
         return int(self.counts.shape[0])

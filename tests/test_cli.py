@@ -184,6 +184,35 @@ def test_score_command(tmp_path):
     assert dist == {0: 0.25, 5: 0.75}
 
 
+def _refused_with_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_json_nested_too_deeply_is_refused(tmp_path, k5_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    _refused_with_one_error_line(["exact", "--network", str(deep), "-L", "1",
+                                  "--out", str(tmp_path / "pmf.csv")], capsys)
+    pmf_path = tmp_path / "k5.csv"
+    assert main(["exact", "--network", k5_path, "-L", "1", "--out", str(pmf_path)]) == 0
+    _refused_with_one_error_line(["score", "--pmf", str(pmf_path), "--rules", str(deep),
+                                  "--out", str(tmp_path / "scores.csv")], capsys)
+
+
+@pytest.mark.parametrize("command", [["exact"], ["simulate", "-K", "2", "--seed", "1"]])
+@pytest.mark.parametrize("group, key", [("nodes", "p"), ("edges", "q_uv")])
+def test_integers_too_large_for_a_float_are_refused(tmp_path, capsys, command, group, key):
+    doc = {"nodes": [{"id": 0, "type": 0, "p": 0.1}, {"id": 1, "type": 1, "p": 0.2}],
+           "edges": [{"u": 0, "v": 1, "q_uv": 0.3, "q_vu": 0.4}]}
+    doc[group][0][key] = 10**400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    _refused_with_one_error_line([*command, "--network", str(path), "-L", "1",
+                                  "--out", str(tmp_path / "out.csv")], capsys)
+
+
 def test_generate_command(tmp_path):
     out = tmp_path / "ba.json"
     args = ["generate", "ba", "--nodes", "200", "--attach", "2", "--init", "5",

@@ -81,6 +81,24 @@ def test_induced_subnetwork_star_leaves():
     assert sub.edges == frozenset()
 
 
+def test_induced_subnetwork_with_sparse_ids_derives_edges_degree_and_csr_from_q():
+    net = assign_types_by_degree(generate_ba(40, 2, 3, rng_seed=5), 8)
+    net = with_type_probabilities(net, [0.1, 0.2], [0.3, 0.4])
+    keep = set(range(3, 40, 3))
+    sub = induced_subnetwork(net, keep)
+    assert sub.node_ids == tuple(sorted(keep))
+    arcs = {(u, v) for u, v in net.q if u in keep and v in keep}
+    assert sub.q == {arc: net.q[arc] for arc in arcs}
+    assert sub.edges == frozenset((min(arc), max(arc)) for arc in arcs)
+    for v in sub.node_ids:
+        assert sub.degree(v) == sum(v in edge for edge in sub.edges)
+    csr = sub.csr
+    dst = np.repeat(csr.targets, np.diff(np.append(csr.starts, len(csr.src))))
+    assert list(zip(dst, csr.src)) == sorted(zip(dst, csr.src))
+    ids = sub.node_ids
+    assert {(ids[s], ids[t]): q for s, t, q in zip(csr.src, dst, csr.q)} == sub.q
+
+
 def test_induced_subnetwork_unknown_id():
     net = complete_network([2], 0.2, 0.1)
     with pytest.raises(ValueError, match="unknown"):
@@ -114,7 +132,7 @@ def test_generate_ba_connected():
     frontier = [0]
     while frontier:
         v = frontier.pop()
-        for w in net.neighbors[v]:
+        for w in {b if a == v else a for a, b in net.edges if v in (a, b)}:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
@@ -150,6 +168,20 @@ def test_assign_types_path_and_ties():
                           [(0, 1), (1, 2), (2, 3), (3, 0)])
     typed = assign_types_by_degree(cycle, 2)
     assert typed.types == (0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_assign_types_by_degree_matches_a_sort_by_degree_then_id(m):
+    # BA graphs with m = 1..3 have many nodes of equal degree
+    for seed in range(8):
+        net = generate_ba(60, m, m + 1, rng_seed=seed)
+        degree = dict.fromkeys(net.node_ids, 0)
+        for u, v in net.edges:
+            degree[u] += 1
+            degree[v] += 1
+        expected = set(sorted(net.node_ids, key=lambda v: (-degree[v], v))[:10])
+        typed = assign_types_by_degree(net, 10)
+        assert {v for v, t in zip(typed.node_ids, typed.types) if t == 0} == expected
 
 
 def test_assign_types_range_check():
@@ -196,6 +228,32 @@ def test_json_not_json(tmp_path):
     path.write_text("not json {")
     with pytest.raises(ValueError, match="JSON"):
         load_json(str(path))
+
+
+def test_json_nested_too_deeply_names_the_file(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValueError) as err:
+        load_json(str(path))
+    assert str(err.value).startswith(f"{path}: not valid JSON: ")
+
+
+@pytest.mark.parametrize("group, key, sign, message", [
+    ("nodes", "p", 1, "p for node 1 out of [0, 1]: inf"),
+    ("nodes", "p", -1, "p for node 1 out of [0, 1]: -inf"),
+    ("edges", "q_uv", 1, "q for (0, 1) out of [0, 1]: inf"),
+    ("edges", "q_vu", -1, "q for (1, 0) out of [0, 1]: -inf"),
+])
+def test_json_integers_too_large_for_a_float_are_out_of_range(tmp_path, group, key, sign,
+                                                               message):
+    doc = {"nodes": [{"id": 0, "type": 0, "p": 0.1}, {"id": 1, "type": 1, "p": 0.2}],
+           "edges": [{"u": 0, "v": 1, "q_uv": 0.3, "q_vu": 0.4}]}
+    doc[group][-1][key] = sign * 10**400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_json(str(path))
+    assert str(err.value) == message
 
 
 def test_save_rejects_sparse_ids(tmp_path, example_net):

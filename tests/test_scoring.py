@@ -85,6 +85,11 @@ def test_parse_refuses_boolean_scores(text, message):
     assert str(err.value) == message
 
 
+def test_parse_refuses_json_nested_too_deeply():
+    with pytest.raises(ValueError, match="^rules are not valid JSON: "):
+        parse_rules("[" * 100000 + "]" * 100000)
+
+
 def test_first_match_wins_and_order_matters():
     overlapping = (
         '{"default": 9, "rules": ['

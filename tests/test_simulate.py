@@ -184,6 +184,13 @@ def test_empirical_pmf_hand_built_uniform():
     assert pmf.probs[2, 3] == 0.5
 
 
+@pytest.mark.parametrize("shape, depth", [((3, 2, 2), 5), ((3, 2, 2), 1), ((3, 2), 2)])
+def test_sample_matrix_refuses_a_depth_that_does_not_match_counts(shape, depth):
+    with pytest.raises(ValueError, match=rf"counts of shape \({shape[0]}, "):
+        SampleMatrix(counts=np.zeros(shape, dtype=np.int64), depth=depth, master_seed=None,
+                     type_sizes=None)
+
+
 def test_empirical_pmf_requires_sizes():
     counts = np.zeros((2, 1, 2), dtype=np.int64)
     sm = SampleMatrix(counts=counts, depth=1, master_seed=None, type_sizes=None)
