@@ -31,7 +31,7 @@ from .network import (
 from .pmf import JointPmf, _write_table
 from .scoring import parse_rules, score_distribution
 from .simulate import STREAM, SampleMatrix, simulate_runs
-from .stats import _depth_moments, check_orthant_monotone, marginal_moments, pairwise_correlations
+from .stats import _depth_correlations, _depth_moments, check_orthant_monotone, marginal_moments
 
 PROG = "hoprisk"
 
@@ -115,15 +115,10 @@ def cmd_stats(args: argparse.Namespace) -> Manifest:
                        for l, (mus, sds) in enumerate(zip(mean.tolist(), sd.tolist()), 1)
                        for t, (mu, s) in enumerate(zip(mus, sds), 1)]
         _write_table(moments_path, moments, ["%d", "%d", "%.17g", "%.17g"], moment_rows)
-        m = samples.num_types
-        corr_rows = []
-        for l in range(1, samples.depth + 1):
-            if samples.runs < 2:
-                corr_rows += [(l, i + 1, j + 1) + ("undefined",) * 3
-                              for i in range(m) for j in range(i + 1, m)]
-            else:
-                corr_rows += [(l, i + 1, j + 1, _fmt(d.pearson), _fmt(d.kendall), _fmt(d.spearman))
-                              for (i, j), d in pairwise_correlations(samples, l).items()]
+        by_pair = _depth_correlations(samples.counts)
+        corr_rows = [(l, i + 1, j + 1, _fmt(d.pearson), _fmt(d.kendall), _fmt(d.spearman))
+                     for l, at_depth in enumerate(zip(*by_pair.values()), 1)
+                     for (i, j), d in zip(by_pair, at_depth)]
         corr_path = args.out + ".correlations.csv"
         _write_table(corr_path, ["depth", "pair", "pearson", "kendall", "spearman"],
                      ["%d", "%d-%d", "%s", "%s", "%s"], corr_rows)

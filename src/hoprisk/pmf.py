@@ -103,7 +103,8 @@ def _read_grid(
     blank lines are skipped, and there are no comment lines; rows are parsed
     from the open file, never all held as strings. Returns the values in C
     order of the keys, shaped ``grid + (len(values),)`` where ``grid[i]`` is
-    the largest i-th key minus ``base``, plus 1.
+    the largest i-th key minus ``base``, plus 1. Rows already in that order
+    are not sorted: the values come back as a view of the parsed rows.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -150,6 +151,11 @@ def _read_grid(
         n = line_of(((key < base).any(axis=1) | (value < 0).any(axis=1)).argmax())
         raise ValueError(f"{path}: line {n}: {', '.join(keys)} must be >= {base} and "
                          f"{', '.join(values)} non-negative, got {body()[n - 2]!r}")
+    grid = tuple(int(k) - base + 1 for k in key.max(axis=0))
+    if len(key) == math.prod(grid) and _rows_increase(key):
+        # distinct cells in C order, as many as the grid has: they are the
+        # grid, so the values need no sort and no copy
+        return value.reshape(grid + (len(values),))
     order = np.lexsort(key.T[::-1])
     key = key[order]
     same = (key[1:] == key[:-1]).all(axis=1)
@@ -157,12 +163,22 @@ def _read_grid(
         j = same.argmax()
         raise ValueError(f"{path}: line {line_of(order[j + 1])}: duplicate cell "
                          f"({', '.join(keys)}), first given on line {line_of(order[j])}")
-    grid = tuple(int(k) - base + 1 for k in key.max(axis=0))
     if len(key) != math.prod(grid):
         raise ValueError(f"{path}: missing cells: {len(key)} rows for the "
                          f"{' x '.join(map(str, grid))} grid of ({', '.join(keys)})")
     # distinct cells, as many as the grid has: sorted, they are the grid
     return value[order].reshape(grid + (len(values),))
+
+
+def _rows_increase(key: np.ndarray) -> bool:
+    """Whether each row of ``key`` is above the one before it, comparing
+    the columns left to right; one byte per row held per column test."""
+    above = np.zeros(len(key) - 1, dtype=bool)
+    tied = np.ones(len(key) - 1, dtype=bool)
+    for prev, cur in zip(key[:-1].T, key[1:].T):
+        above |= tied & (cur > prev)
+        tied &= cur == prev
+    return bool(above.all())
 
 
 def _write_table(path: str, header: list[str], fmt: list[str],

@@ -6,8 +6,11 @@ its own draw. A run can therefore draw everything up front: the direct hits
 ``u < p`` and, per directed edge, whether an attempt along it would succeed
 (``u < q``, the edge is *open*). The nodes down after L rounds are those
 within L open hops of a direct hit, and round h's front is the nodes exactly
-h hops away. Runs are played in blocks as K x N boolean matrices, one
-gather and one ``np.logical_or.reduceat`` by target per round.
+h hops away. Runs are played in blocks with the run axis packed into
+words: bit k of a node's (or a directed edge's) row of words is run k's
+state, so a round is one gather of the front words by source, one AND with
+the open-edge words and one ``np.bitwise_or.reduceat`` by target; the fronts
+are unpacked and counted per type once, after the last round.
 
 Stream layout ``philox4x64-slots-v1`` (:data:`STREAM`): one Philox-4x64
 stream keyed by ``SeedSequence(master_seed)``, one double per 64-bit output.
@@ -27,6 +30,7 @@ depth variants at one seed are coupled (common random numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -46,7 +50,8 @@ __all__ = [
 # Version of the seed -> samples mapping below; recorded in manifests.
 STREAM = "philox4x64-slots-v1"
 
-# Uniforms drawn and propagated at a time; bounds memory for any run count.
+# Uniforms drawn and propagated, and front bits unpacked, at a time; bounds
+# memory for any run count and depth.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -131,35 +136,72 @@ def _slots(net: NetworkModel) -> int:
     return -(-(net.n_nodes + net.csr.src.size) // 4) * 4
 
 
+def _words(net: NetworkModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pack a block of runs, one row of uniforms ``u`` per run, into words:
+    the direct hits (N rows) and the open edges (|E_dir| rows).
+
+    Bit k of a row is run k's draw below its threshold. A word is the
+    smallest unsigned integer holding every run, or 64 bits above 64 runs;
+    the bits past the last run are 0.
+    """
+    g = net.csr
+    thresholds = np.concatenate((g.p, g.q))
+    runs, m = len(u), thresholds.size
+    if runs == 1:
+        # a bool is a byte holding 0 or 1: already the word of one run
+        words = (u[0, :m] < thresholds).view(np.uint8)
+    else:
+        width = 8 << min(3, max(0, (runs - 1).bit_length() - 3))
+        bits = np.zeros((-(-runs // width) * width, m), dtype=bool)
+        np.less(u[:, :m], thresholds, out=bits[:runs])
+        # each slot's bits made contiguous, then packed in one call
+        words = np.packbits(bits.T.reshape(-1), bitorder="little").view(f"<u{width // 8}")
+    words = words.reshape(m, -1)
+    return words[: net.n_nodes], words[net.n_nodes :]
+
+
 def _rounds(net: NetworkModel, depth: int, u: np.ndarray) -> Iterator[np.ndarray]:
     """Play a block of runs, one row of uniforms ``u`` per run.
 
-    Yields the nodes first down in rounds 0, 1, ... as K x N boolean masks;
-    stops after ``depth`` rounds, or earlier once every run's front is empty.
+    Yields the nodes first down in rounds 0, 1, ... as packed words, one row
+    per node (see :func:`_words`); stops after ``depth`` rounds, or earlier
+    once every run's front is empty.
     """
     g = net.csr
-    n = net.n_nodes
-    front = u[:, :n] < g.p
-    open_ = u[:, n : n + g.src.size] < g.q
-    down = front.copy()
+    front, open_ = _words(net, u)
+    up = ~front
+    hit = np.zeros_like(front)
     yield front
     for _ in range(depth):
         if not front.any():
             return
-        hit = np.zeros_like(front)
-        fire = front[:, g.src] & open_
-        hit[:, g.targets] = np.logical_or.reduceat(fire, g.starts, axis=1)
-        front = hit & ~down
-        down |= front
+        hit[g.targets] = np.bitwise_or.reduceat(front[g.src] & open_, g.starts, axis=0)
+        front = hit & up
+        up ^= front
         yield front
 
 
-def _tally(net: NetworkModel, depth: int, rounds: Iterable[np.ndarray]) -> np.ndarray:
-    """``counts[k, l, t]``: type-t nodes of run k down after round l = 0..depth."""
-    per_round = [new @ net.csr.onehot for new in rounds]
-    counts = np.zeros((len(per_round[0]), depth + 1, net.num_types), dtype=np.int64)
-    counts[:, : len(per_round)] = np.stack(per_round, axis=1)
-    return np.cumsum(counts, axis=1, out=counts)
+def _unpacked(net: NetworkModel, runs: int, rounds: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The packed fronts of ``rounds`` as bytes ``bits[l, i, k]``, 1 when
+    node i is first down in round l of run k; a group of consecutive rounds
+    at a time, at most ``_BLOCK_CELLS`` bits, so the memory held does not
+    grow with the depth."""
+    step = max(1, _BLOCK_CELLS // (net.n_nodes * runs))
+    rounds = iter(rounds)
+    while group := list(islice(rounds, step)):
+        yield np.unpackbits(np.stack(group).view(np.uint8), axis=-1, count=runs,
+                            bitorder="little")
+
+
+def _tally(net: NetworkModel, depth: int, runs: int, groups: Iterable[np.ndarray]) -> np.ndarray:
+    """``counts[k, l, t]``: type-t nodes of run k down after round l = 0..depth,
+    from the rounds played as bytes, in groups as :func:`_unpacked` yields them."""
+    counts = np.zeros((runs, depth + 1, net.num_types), dtype=np.int64)
+    l = 0
+    for bits in groups:
+        counts[:, l : l + len(bits)] = (net.csr.onehot.T @ bits).transpose(2, 0, 1)
+        l += len(bits)
+    return counts.cumsum(axis=1, out=counts)
 
 
 def single_run(net: NetworkModel, depth: int, rng: np.random.Generator) -> CompromiseTrace:
@@ -170,11 +212,13 @@ def single_run(net: NetworkModel, depth: int, rng: np.random.Generator) -> Compr
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    masks = list(_rounds(net, depth, rng.random((1, _slots(net)))))
+    fronts = list(_rounds(net, depth, rng.random((1, _slots(net)))))
+    # one run: each word is one byte holding 0 or 1, so the words are the bits
+    bits = np.stack(fronts)
     ids = np.asarray(net.node_ids)
-    newly = [frozenset(ids[new[0]].tolist()) for new in masks]
-    newly += [frozenset()] * (depth + 1 - len(masks))
-    counts = _tally(net, depth, masks)[0]
+    newly = [frozenset(ids[new].tolist()) for new in bits.view(bool)[:, :, 0]]
+    newly += [frozenset()] * (depth + 1 - len(fronts))
+    counts = _tally(net, depth, 1, [bits])[0]
     return CompromiseTrace(newly_by_depth=tuple(newly), cumulative_counts=counts)
 
 
@@ -205,7 +249,8 @@ def simulate_runs(
     for k0 in range(0, runs, block):
         k1 = min(runs, k0 + block)
         u = run_rng(master_seed, k0, net).random((k1 - k0, slots))
-        counts[k0:k1] = _tally(net, depth, _rounds(net, depth, u))[:, 1:]
+        rounds = _unpacked(net, k1 - k0, _rounds(net, depth, u))
+        counts[k0:k1] = _tally(net, depth, k1 - k0, rounds)[:, 1:]
     return SampleMatrix(
         counts=counts,
         depth=depth,

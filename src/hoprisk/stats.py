@@ -7,21 +7,24 @@ distinct x and y values (Agresti, *Categorical Data Analysis*, sec. 2.4):
 Kendall's S sums each cell times the concordant minus discordant cells in
 the rows above it; Pearson and Spearman are the table-weighted correlations
 of the distinct values and of their mid-ranks. That costs O(n log n + r c)
-for n samples; the table is reserved in the exact engines' cell budget,
-which refuses one above it before it is allocated. When a margin is
-constant, all three correlation measures are reported as explicitly
-undefined rather than silently zero.
+for n samples. The depths of a sample matrix take one table pass: each
+type's values are coded once over all L depths (in groups of at most
+``_CODED_CELLS`` entries) and one ``bincount`` builds a stack of L tables,
+in O(n L log(n L) + L r c) with r and c counted over all depths. Tables are
+reserved in the exact engines' cell budget, which refuses one above it
+before it is allocated (a stack of depths above it is taken one depth at a
+time). When a margin is constant, all three correlation measures are
+reported as explicitly undefined rather than silently zero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .exact import _reserve
+from . import exact
 from .pmf import JointPmf
 from .simulate import SampleMatrix
 
@@ -38,6 +41,11 @@ __all__ = [
     "lower_orthant_cdf",
     "check_orthant_monotone",
 ]
+
+
+# Sample entries of one type (runs x depths) coded at a time by the depth
+# pass of the correlations: bounds its working memory for any run count.
+_CODED_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -124,18 +132,55 @@ def _sorted_firsts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, np.concatenate(([True], s[1:] != s[:-1]))
 
 
-def _kendall_s(table: np.ndarray) -> int:
-    """Kendall's S = sum_ij t_ij (C_ij - D_ij), where C_ij (D_ij) counts the
-    samples in the rows above row i and the columns left (right) of j.
+def _centred_scores(values: np.ndarray, margin: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Per table (axis 0): the distinct values (row 0) and their mid-ranks
+    (row 1), each centred on its mean under the ``margin`` counts."""
+    w = np.empty((len(margin), 2, margin.shape[1]))
+    w[:, 0] = values
+    w[:, 1] = margin.cumsum(axis=1) - (margin - 1) / 2
+    w -= w @ margin[:, :, None] / n[:, None, None]
+    return w
 
-    With A_ij the samples in column j above row i and G_ij = sum_{l<=j} A_il,
-    C_ij - D_ij = 2 G_ij - A_ij - G_i,last.
+
+def _table_correlations(
+    table: np.ndarray, xv: np.ndarray, yv: np.ndarray
+) -> list[DependenceSummary]:
+    """Pearson, Kendall tau-b and Spearman rho of each table in a stack.
+
+    ``table[b, i, j]`` counts the samples of table b with the i-th x value
+    ``xv[..., i]`` and the j-th y value ``yv[..., j]`` (values ascending;
+    ``xv`` and ``yv`` broadcast over the stack); rows and columns may be
+    empty. A table whose x or y values are all one value is undefined.
+    Besides the stack, one working copy of it is allocated.
     """
-    above = table.cumsum(axis=0)
+    a, b = table.sum(axis=2), table.sum(axis=1)
+    n = a.sum(axis=1)
+    # pairs not tied in x (n0 - n1) and not tied in y (n0 - n2); none when
+    # that margin is constant
+    n0 = n * (n - 1) // 2
+    x_pairs = n0 - np.einsum("bi,bi->b", a, a - 1) // 2
+    y_pairs = n0 - np.einsum("bi,bi->b", b, b - 1) // 2
+
+    # Kendall's S = sum_ij t_ij (C_ij - D_ij), where C_ij (D_ij) counts the
+    # samples in the rows above row i and the columns left (right) of j.
+    # With A_ij the samples in column j above row i and G_ij = sum_{l<=j} A_il,
+    # C_ij - D_ij = 2 G_ij - A_ij - G_i,last.
+    above = table.cumsum(axis=1)
     above -= table
-    s = -int(np.vdot(table, above))
-    above.cumsum(axis=1, out=above)
-    return s + 2 * int(np.vdot(table, above)) - int(table.sum(axis=1) @ above[:, -1])
+    s = -np.einsum("bij,bij->b", table, above)
+    above.cumsum(axis=2, out=above)
+    s += 2 * np.einsum("bij,bij->b", table, above) - np.einsum("bi,bi->b", a, above[:, :, -1])
+
+    # the centred values give Pearson, the centred mid-ranks Spearman
+    u, v = _centred_scores(xv, a, n), _centred_scores(yv, b, n)
+    out = np.empty((3, len(table)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[0] = s / np.sqrt(x_pairs) / np.sqrt(y_pairs)
+        out[1:] = ((u @ table) * v).sum(axis=2).T
+        out[1:] /= np.sqrt((u**2 @ a[:, :, None]) * (v**2 @ b[:, :, None]))[..., 0].T
+    defined = ((x_pairs > 0) & (y_pairs > 0)).tolist()
+    return [DependenceSummary(r, k, rho) if ok else DependenceSummary(None, None, None)
+            for ok, k, r, rho in zip(defined, *np.clip(out, -1.0, 1.0, out=out).tolist())]
 
 
 def correlations(x: Sequence[float], y: Sequence[float]) -> DependenceSummary:
@@ -160,42 +205,66 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> DependenceSummary:
     if r == 1 or c == 1:
         return DependenceSummary(None, None, None)
     # the table and one working copy of it are the largest arrays held
-    _reserve(2 * r * c, f"x has {r} distinct values and y has {c}: their "
-             "contingency table and its working copy", advice="")
+    exact._reserve(2 * r * c, f"x has {r} distinct values and y has {c}: their "
+                   "contingency table and its working copy", advice="")
     xv, yv = xs[x_first], ys[y_first]
     table = np.bincount(xv.searchsorted(xa) * c + yv.searchsorted(ya), minlength=r * c)
-    table = table.reshape(r, c)
-    a, b = table.sum(axis=1), table.sum(axis=0)
+    return _table_correlations(table.reshape(1, r, c), xv, yv)[0]
 
-    # pairs not tied in x (n0 - n1) and not tied in y (n0 - n2)
-    n0 = n * (n - 1) // 2
-    x_pairs = n0 - int(a @ (a - 1)) // 2
-    y_pairs = n0 - int(b @ (b - 1)) // 2
-    tau = _kendall_s(table) / math.sqrt(x_pairs) / math.sqrt(y_pairs)
 
-    # row 0: the values, row 1: their mid-ranks; centred, they give Pearson
-    # and Spearman
-    u = np.array([xv, a.cumsum() - (a - 1) / 2])
-    v = np.array([yv, b.cumsum() - (b - 1) / 2])
-    u -= (u @ a / n)[:, None]
-    v -= (v @ b / n)[:, None]
-    pearson, spearman = np.clip(
-        ((u @ table) * v).sum(axis=1) / np.sqrt(u**2 @ a * (v**2 @ b)), -1.0, 1.0
-    )
-    return DependenceSummary(float(pearson), min(1.0, max(-1.0, tau)), float(spearman))
+def _depth_correlations(counts: np.ndarray) -> dict[tuple[int, int], list[DependenceSummary]]:
+    """Dependence summaries of every type pair (i, j), i < j, at each depth
+    of ``counts[k, l, t]``, in depth order; all undefined for one run.
+
+    Each type's values are coded once over a group of depths, so one
+    ``bincount`` per pair builds the tables of every depth in the group on
+    the same value axes. A group holds at most ``_CODED_CELLS`` entries of a
+    type, or one depth. When its stack of tables is above the cell budget,
+    its depths are taken one at a time on their own values; a single depth
+    above the budget raises ``ExactEngineCapError``, as :func:`correlations`
+    does.
+    """
+    runs, depth, m = counts.shape
+    out: dict[tuple[int, int], list[DependenceSummary]] = {
+        (i, j): [] for i in range(m) for j in range(i + 1, m)}
+
+    def add(l0: int, l1: int) -> None:
+        group = counts[:, l0:l1].astype(float)
+        size = l1 - l0
+        # each type's distinct values over the group, and the code of each entry
+        coded = [np.unique(group[:, :, t], return_inverse=True) for t in range(m)]
+        widest = max((values.size for values, _ in coded), default=1)
+        if size > 1 and 2 * size * widest * widest > exact._MAX_CELLS:
+            for l in range(l0, l1):
+                add(l, l + 1)
+            return
+        codes = [inv.reshape(runs, size) for _, inv in coded]
+        at = np.arange(size)
+        where = f"depth {l0 + 1}" if size == 1 else f"depths {l0 + 1}..{l1}"
+        for (i, j), summaries in out.items():
+            (xv, _), (yv, _) = coded[i], coded[j]
+            r, c = xv.size, yv.size
+            exact._reserve(2 * size * r * c, f"{where}, types {i + 1} and {j + 1}: x has "
+                           f"{r} distinct values and y has {c}: their contingency tables "
+                           "and a working copy", advice="")
+            cells = (at * r + codes[i]) * c + codes[j]
+            table = np.bincount(cells.reshape(-1), minlength=size * r * c)
+            summaries += _table_correlations(table.reshape(size, r, c), xv, yv)
+
+    step = max(1, _CODED_CELLS // runs)
+    for l0 in range(0, depth, step):
+        add(l0, min(depth, l0 + step))
+    return out
 
 
 def pairwise_correlations(
     samples: SampleMatrix, depth: int
 ) -> dict[tuple[int, int], DependenceSummary]:
     """Dependence summaries for every type pair at one depth."""
-    block = samples.at_depth(depth)
-    m = samples.num_types
-    out = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            out[(i, j)] = correlations(block[:, i], block[:, j])
-    return out
+    if samples.runs < 2:
+        raise ValueError("need at least 2 samples")
+    block = samples.at_depth(depth)[:, None]
+    return {pair: d[0] for pair, d in _depth_correlations(block).items()}
 
 
 def _check_point(pmf: JointPmf, point: Sequence[int]) -> tuple[int, ...]:

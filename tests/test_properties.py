@@ -46,6 +46,7 @@ import hoprisk.exact
 import hoprisk.pmf
 from hoprisk.cli import main
 from hoprisk.exact import _MAX_CELLS
+from hoprisk.stats import _depth_correlations
 
 from oracle import brute_force_joint_pmf
 
@@ -177,6 +178,16 @@ def test_pairwise_correlations_match_scipy_on_a_ba_sample(seed, top_k, p, q):
         block = samples.at_depth(depth)
         _assert_matches_scipy(pairwise_correlations(samples, depth)[(0, 1)],
                               block[:, 0].tolist(), block[:, 1].tolist())
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32), top_k=st.integers(2, 12), runs=st.integers(2, 300),
+       p=st.tuples(probs, probs), q=st.tuples(probs, probs))
+def test_depth_correlations_match_scipy_on_a_ba_sample(seed, top_k, runs, p, q):
+    net = with_type_probabilities(assign_types_by_degree(generate_ba(40, 2, 3, seed), top_k), p, q)
+    counts = simulate_runs(net, 6, runs, seed).counts
+    for depth, dep in enumerate(_depth_correlations(counts)[(0, 1)]):
+        _assert_matches_scipy(dep, counts[:, depth, 0].tolist(), counts[:, depth, 1].tolist())
 
 
 def test_oversized_contingency_table_refused_before_allocating():

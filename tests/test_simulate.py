@@ -137,6 +137,54 @@ def test_kernel_matches_round_by_round_play():
         assert trace.newly_by_depth == _round_by_round(net, depth, u)
 
 
+def _counts_round_by_round(net, depth, runs, seed):
+    """``counts[k, l - 1, t]`` of :func:`_round_by_round` play, run by run."""
+    slots = hoprisk.simulate._slots(net)
+    types = np.asarray(net.types)
+    counts = np.zeros((runs, depth, net.num_types), dtype=np.int64)
+    for k in range(runs):
+        newly = _round_by_round(net, depth, run_rng(seed, k, net).random(slots))
+        down = set(newly[0])
+        for l in range(1, depth + 1):
+            down |= newly[l]
+            counts[k, l - 1] = np.bincount(types[sorted(down)], minlength=net.num_types)
+    return counts
+
+
+@pytest.mark.parametrize("runs", [1, 63, 64, 65, 130])
+def test_packed_runs_match_round_by_round_play(runs):
+    # one word of 8 to 64 bits, one full 64-bit word, and two and three words
+    rng = np.random.default_rng(runs)
+    for case in range(6):
+        net = random_network(rng, max_nodes=7, max_edges=12)
+        depth = int(rng.integers(1, 6))
+        samples = simulate_runs(net, depth, runs, master_seed=case)
+        assert np.array_equal(samples.counts, _counts_round_by_round(net, depth, runs, case))
+
+
+@pytest.mark.parametrize("block_runs", [63, 65])
+def test_counts_do_not_depend_on_a_block_that_splits_a_word(monkeypatch, block_runs):
+    net = _ba30()
+    runs = 200
+    default = simulate_runs(net, 5, runs, master_seed=12).counts
+    monkeypatch.setattr(hoprisk.simulate, "_BLOCK_CELLS", block_runs * hoprisk.simulate._slots(net))
+    assert np.array_equal(simulate_runs(net, 5, runs, master_seed=12).counts, default)
+
+
+def test_rounds_tallied_in_groups_match_one_tally(monkeypatch):
+    # a 10-node path (q = 1, node 0 always down) beside 10 isolated nodes:
+    # a block of one run unpacks its 10 rounds two at a time
+    net = build_network([(i, i % 2, 1.0 if i == 0 else 0.0) for i in range(20)],
+                        [(i, i + 1) for i in range(9)], q=1.0)
+    default = simulate_runs(net, 12, 5, master_seed=2).counts
+    monkeypatch.setattr(hoprisk.simulate, "_BLOCK_CELLS", hoprisk.simulate._slots(net))
+    grouped = simulate_runs(net, 12, 5, master_seed=2).counts
+    assert np.array_equal(grouped, default)
+    # nodes 0..l are down after round l
+    assert (grouped.sum(axis=2) == np.minimum(np.arange(2, 14), 10)).all()
+    assert np.array_equal(grouped, _counts_round_by_round(net, 12, 5, 2))
+
+
 def test_shallower_runs_are_a_prefix_of_deeper_ones():
     net = _ba30()
     for depth in (1, 3):
@@ -377,6 +425,21 @@ def test_sample_csv_read_peaks_within_six_times_its_result(tmp_path):
     # 10^5 rows: the lines of the file are never all held as strings
     assert np.array_equal(loaded.counts, counts)
     assert peak <= 6 * counts.nbytes
+
+
+def test_in_order_sample_csv_read_peaks_within_three_times_its_result(tmp_path):
+    # the rows `to_csv` writes are in grid order: they are not sorted again
+    path = tmp_path / "samples.csv"
+    counts = np.random.default_rng(6).integers(0, 50, size=(25000, 4, 2))
+    SampleMatrix(counts=counts, depth=4, master_seed=None, type_sizes=None).to_csv(str(path))
+    tracemalloc.start()
+    try:
+        loaded = SampleMatrix.from_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.counts, counts)
+    assert peak < 3 * counts.nbytes
 
 
 def test_monte_carlo_matches_the_oracle():

@@ -14,6 +14,10 @@ from hoprisk import (
     simulate_runs,
     upper_orthant_survival,
 )
+import hoprisk.exact as exact_engine
+import hoprisk.stats
+from hoprisk.exact import ExactEngineCapError
+from hoprisk.stats import _depth_correlations
 
 from oracle import random_network
 from tables import TABLE_GRIDS
@@ -118,6 +122,82 @@ def test_pairwise_correlations_keys(example_net):
     sm = simulate_runs(example_net, 2, 200, master_seed=6)
     out = pairwise_correlations(sm, 2)
     assert set(out) == {(0, 1)}
+
+
+def _assert_same_as_per_depth(counts, by_pair):
+    """Kendall and Spearman equal to one `correlations` call per depth and
+    pair, Pearson within 1e-15: the depth pass has the same tables, on value
+    axes that may hold values absent at that depth."""
+    m = counts.shape[2]
+    assert list(by_pair) == [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for (i, j), summaries in by_pair.items():
+        assert len(summaries) == counts.shape[1]
+        for l, got in enumerate(summaries):
+            want = correlations(counts[:, l, i], counts[:, l, j])
+            assert got.undefined == want.undefined
+            if not want.undefined:
+                assert (got.kendall, got.spearman) == (want.kendall, want.spearman)
+                assert abs(got.pearson - want.pearson) <= 1e-15
+
+
+def test_depth_correlations_match_per_depth_calls():
+    rng = np.random.default_rng(11)
+    for case in range(12):
+        net = random_network(rng, max_nodes=7, max_edges=12)
+        counts = simulate_runs(net, 4, int(rng.integers(2, 300)), master_seed=case).counts
+        if counts.shape[2] > 1:
+            _assert_same_as_per_depth(counts, _depth_correlations(counts))
+    for runs in (2, 3, 40):
+        counts = rng.integers(0, 6, size=(runs, 5, 3))
+        _assert_same_as_per_depth(counts, _depth_correlations(counts))
+
+
+def test_depth_correlations_with_constant_depths_and_huge_counts():
+    rng = np.random.default_rng(4)
+    counts = rng.integers(0, 10**12, size=(30, 4, 2))
+    counts[:, 1, 0] = 7  # a constant x at depth 2
+    counts[:, 3, 1] = 10**12  # a constant y at depth 4
+    by_pair = _depth_correlations(counts)
+    assert [d.undefined for d in by_pair[(0, 1)]] == [False, True, False, True]
+    _assert_same_as_per_depth(counts, by_pair)
+    # two runs: every defined depth is perfectly concordant or discordant
+    pair = np.array([[[0, 5], [1, 1], [3, 4]], [[2, 9], [1, 1], [0, 8]]])
+    by_pair = _depth_correlations(pair)
+    assert [d.kendall for d in by_pair[(0, 1)]] == [1.0, None, -1.0]
+    _assert_same_as_per_depth(pair, by_pair)
+    # one run: no pair of samples, so nothing is defined
+    assert all(d.undefined for d in _depth_correlations(pair[:1])[(0, 1)])
+
+
+def _spread_counts():
+    """50 runs at 4 depths: 10 distinct values per type and depth, 40 over
+    all depths, so one depth's table and its copy take 2 * 10 * 10 cells and
+    the stack of all depths on the shared values 2 * 4 * 40 * 40."""
+    rng = np.random.default_rng(8)
+    x = np.arange(50) % 10 + 10 * np.arange(4)[:, None]
+    y = rng.permuted(np.broadcast_to(x, (2, 4, 50)), axis=2)
+    return np.stack((y[0], y[1]), axis=2).transpose(1, 0, 2)
+
+
+def test_depth_correlations_code_the_depths_in_groups(monkeypatch):
+    # 100 entries a type: the depths are coded two at a time
+    counts = _spread_counts()
+    monkeypatch.setattr(hoprisk.stats, "_CODED_CELLS", 100)
+    _assert_same_as_per_depth(counts, _depth_correlations(counts))
+
+
+def test_depth_correlations_split_a_stack_above_the_budget(monkeypatch):
+    # the stack of all depths, 12800 cells, would be refused; one depth at a
+    # time, 200 cells, fits
+    counts = _spread_counts()
+    monkeypatch.setattr(exact_engine, "_MAX_CELLS", 1000)
+    _assert_same_as_per_depth(counts, _depth_correlations(counts))
+
+
+def test_depth_correlations_refuse_a_depth_above_the_budget(monkeypatch):
+    monkeypatch.setattr(exact_engine, "_MAX_CELLS", 150)
+    with pytest.raises(ExactEngineCapError, match="depth 1, types 1 and 2: x has 10 distinct"):
+        _depth_correlations(_spread_counts())
 
 
 def test_survival_examples(table_pmf):
