@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .exact import joint_pmf
+from .exact import _joint_pmfs, joint_pmf
 from .network import (
     assign_types_by_degree,
     build_network,
@@ -182,18 +182,20 @@ def cmd_order_check(args: argparse.Namespace) -> Manifest | None:
         raise ValueError("use either --depths or --p-scale/--q-scale, not both")
     if args.depths and args.depth is not None:
         raise ValueError("-L/--depth is for --p-scale/--q-scale; --depths gives the depths")
+    if args.depths and len(args.depths) < 2:
+        raise ValueError("--depths needs at least two values")
+    if scales and args.depth is None:
+        raise ValueError("--p-scale/--q-scale require --depth")
+    if not (args.depths or scales):
+        raise ValueError("provide --depths or --p-scale/--q-scale")
+    if min(args.depths or [args.depth]) < 0:
+        raise ValueError("depth must be >= 0")
     net = load_json(args.network)
-    reports = []
     if args.depths:
-        if len(args.depths) < 2:
-            raise ValueError("--depths needs at least two values")
-        pmfs = {d: joint_pmf(net, d) for d in sorted(set(args.depths))}
-        for lo, hi in zip(args.depths, args.depths[1:]):
-            claim = f"depth {lo} <= depth {hi}"
-            reports.append(check_orthant_monotone(pmfs[lo], pmfs[hi], args.tol, claim))
-    elif scales:
-        if args.depth is None:
-            raise ValueError("--p-scale/--q-scale require --depth")
+        pmfs = _joint_pmfs(net, args.depths)
+        reports = [check_orthant_monotone(pmfs[a], pmfs[b], args.tol, f"depth {a} <= depth {b}")
+                   for a, b in zip(args.depths, args.depths[1:])]
+    else:
         claims = [f"{name} scaled by {scale}" for name, scale in scales.items()]
         p_scale, q_scale = scales.get("p", 1.0), scales.get("q", 1.0)
         scaled = build_network(
@@ -204,9 +206,7 @@ def cmd_order_check(args: argparse.Namespace) -> Manifest | None:
         lo = joint_pmf(net, args.depth)
         hi = joint_pmf(scaled, args.depth)
         claim = f"base <= {', '.join(claims)} at depth {args.depth}"
-        reports.append(check_orthant_monotone(lo, hi, args.tol, claim))
-    else:
-        raise ValueError("provide --depths or --p-scale/--q-scale")
+        reports = [check_orthant_monotone(lo, hi, args.tol, claim)]
     text = "\n".join(report.summary() for report in reports) + "\n"
     sys.stdout.write(text)
     if not args.out:

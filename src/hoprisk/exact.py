@@ -9,17 +9,19 @@ It runs the propagation forward on the states (C, F), where F, a subset of
 C, is the last round's front; the direct attack starts it on the states
 (C, C). Given F, each intact node j is hit independently with probability
 1 - prod_{i in F} (1 - q_ij), so (C, F) moves to (C | S, S) with a product
-probability over the newly hit set S; after N rounds nothing moves. The
-mass is a dense array of 3^N cells, a block of 2^|C| cells (F as a subset of
-C) per C, ordered by |C| and then by mask, so a round is one vectorised
-kernel per chunk of same-size C, ~4^N multiply-adds in all.
+probability over the newly hit set S; after N rounds nothing moves. One
+call plays each round once and reads out every depth it is asked for as
+the pass reaches it. The mass is a dense array of 3^N cells, a block of
+2^|C| cells (F as a subset of C) per C, ordered by |C| and then by mask, so
+a round is one vectorised kernel per chunk of same-size C, ~4^N
+multiply-adds in all.
 
 Everything a round needs of the network but not of the mass is its plan:
 the chunk layout, the target cells and each chunk's hit-probability
 factors, built once from ``net.csr``. A round is then one broadcast
 multiply, one matrix product and one scatter per chunk. The plan of the
 network solved last is kept, through a weak reference to that network, for
-the next solve of it at any depth, so at most one plan is held and it goes
+separate calls on it at any depth, so at most one plan is held and it goes
 with its network. The arrays, the stored factors included, are checked
 against a fixed cell budget before allocating; that budget is the only
 limit, and it refuses networks above 14 nodes with
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -264,9 +266,10 @@ def _reserve(
         _last = None
 
 
-def _set_probs(net: NetworkModel, depth: int) -> np.ndarray:
-    """``out[C]`` = probability that exactly C is compromised after ``depth``
-    rounds, started by the direct attack."""
+def _set_probs(net: NetworkModel, depths: Iterable[int]) -> Iterator[np.ndarray]:
+    """Yield, for each of the ascending ``depths``, ``out[C]`` = probability
+    that exactly C is compromised after that many rounds, started by the
+    direct attack; each round is played once, and at most N of them."""
     n = net.n_nodes
     layout, factors = _plan(net)
     state = np.zeros(3**n)
@@ -274,16 +277,19 @@ def _set_probs(net: NetworkModel, depth: int) -> np.ndarray:
     for pi in net.p:
         direct = np.concatenate([direct * (1.0 - pi), direct * pi])
     state[layout.full] = direct
-    for _ in range(min(depth, n)):
-        nxt = np.empty_like(state)
-        for (lo, hi, target, _, _), chunk in zip(layout.chunks, factors):
-            if not isinstance(chunk, tuple):
-                chunk = _factors(chunk)
-            nxt[target] = _round(state[lo:hi].reshape(len(target), -1), chunk)
-        state = nxt
-    out = np.empty(1 << n)
-    out[layout.order] = np.add.reduceat(state, layout.offset[layout.order])
-    return out
+    played = 0
+    for depth in depths:
+        for _ in range(played, min(depth, n)):
+            nxt = np.empty_like(state)
+            for (lo, hi, target, _, _), chunk in zip(layout.chunks, factors):
+                if not isinstance(chunk, tuple):
+                    chunk = _factors(chunk)
+                nxt[target] = _round(state[lo:hi].reshape(len(target), -1), chunk)
+            state = nxt
+        played = min(depth, n)
+        out = np.empty(1 << n)
+        out[layout.order] = np.add.reduceat(state, layout.offset[layout.order])
+        yield out
 
 
 def r_prob(
@@ -306,7 +312,7 @@ def r_prob(
     sub = induced_subnetwork(net, active)
     # p in {0, 1} makes the direct attack an exact point mass on sources
     forced = replace(sub, p=tuple(float(v in sources) for v in sub.node_ids))
-    return float(_set_probs(forced, depth)[_mask(sub, target)])
+    return float(next(_set_probs(forced, [depth]))[_mask(sub, target)])
 
 
 def one_hop_prob(
@@ -327,7 +333,7 @@ def event_prob(net: NetworkModel, target: NodeSet, depth: int) -> float:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     c = _mask(net, target)
-    return float(_set_probs(net, depth)[c])
+    return float(next(_set_probs(net, [depth]))[c])
 
 
 def joint_pmf(net: NetworkModel, depth: int) -> JointPmf:
@@ -338,11 +344,20 @@ def joint_pmf(net: NetworkModel, depth: int) -> JointPmf:
     bit. Refuses networks above the engine's cell budget (14 nodes); use
     Monte Carlo simulation for larger networks.
     """
-    if depth < 0:
+    return _joint_pmfs(net, [depth])[depth]
+
+
+def _joint_pmfs(net: NetworkModel, depths: Iterable[int]) -> dict[int, JointPmf]:
+    """``joint_pmf`` at each of ``depths`` (any order, repeats allowed), all
+    read out of one forward pass."""
+    wanted = sorted(set(depths))
+    if wanted and wanted[0] < 0:
         raise ValueError("depth must be >= 0")
-    probs = _set_probs(net, depth)
+    # refuse an over-budget network before sizing anything by 2^N
+    _plan(net)
     dims = tuple(s + 1 for s in net.type_sizes)
     strides = np.cumprod((1,) + dims[:0:-1])[::-1]
     cells = _subset_sums([int(strides[t]) for t in net.types])
-    counts = np.bincount(cells, weights=probs, minlength=int(np.prod(dims)))
-    return JointPmf(dims, counts.reshape(dims))
+    size = int(np.prod(dims))
+    return {depth: JointPmf(dims, np.bincount(cells, weights=probs, minlength=size).reshape(dims))
+            for depth, probs in zip(wanted, _set_probs(net, wanted))}

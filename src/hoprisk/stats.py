@@ -347,9 +347,8 @@ def check_orthant_monotone(
 
     Passes iff, at every grid point, the upper-orthant survival of ``pmf_hi``
     is at least that of ``pmf_lo`` and its lower-orthant CDF is at most that
-    of ``pmf_lo``, both within ``tol``. These are necessary conditions of the
-    usual multivariate stochastic order; the full order (over all
-    nondecreasing functions) is not finitely checkable and is not claimed.
+    of ``pmf_lo``, both within ``tol``. They are necessary but not sufficient
+    for the usual multivariate stochastic order, which is not checked here.
     """
     if pmf_lo.dims != pmf_hi.dims:
         raise ValueError(f"dimension mismatch: {pmf_lo.dims} vs {pmf_hi.dims}")

@@ -287,6 +287,11 @@ def test_order_check_rejects_bad_scale(k5_path, capsys, flag, value):
         (["-L", "2", "--q-scale", "2", "--tol", "inf"], "--tol must be finite and >= 0, got inf"),
         (["--depths", "1", "2", "-L", "3"],
          "-L/--depth is for --p-scale/--q-scale; --depths gives the depths"),
+        (["--depths", "2", "-1"], "depth must be >= 0"),
+        (["--depths", "2"], "--depths needs at least two values"),
+        (["-L", "-1", "--p-scale", "2"], "depth must be >= 0"),
+        (["--p-scale", "2"], "--p-scale/--q-scale require --depth"),
+        ([], "provide --depths or --p-scale/--q-scale"),
     ],
 )
 def test_order_check_refuses_bad_tol_and_depth_with_depths(tmp_path, capsys, argv, message):

@@ -21,7 +21,9 @@ from hoprisk import (
     joint_pmf,
     one_hop_prob,
     r_prob,
+    save_json,
 )
+from hoprisk.cli import _parser, main
 from hoprisk.stats import check_orthant_monotone, correlations
 
 from oracle import brute_force_joint_pmf, brute_force_set_probs, random_network
@@ -215,17 +217,65 @@ def test_node_cap_refusal():
         joint_pmf(net, 2)
 
 
-def test_oversized_network_refused_before_allocating():
+def test_oversized_network_refused_before_allocating(tmp_path, capsys):
     path = build_network([(i, 0, 0.1) for i in range(20)], [(i, i + 1) for i in range(19)], q=0.2)
+    network = str(tmp_path / "path20.json")
+    save_json(path, network)
+    _parser()  # built once per process, not by the refused request
     tracemalloc.start()
     try:
-        with pytest.raises(ExactEngineCapError, match="simulate"):
-            joint_pmf(path, 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        peaks = []
+        for request in (lambda: joint_pmf(path, 2), lambda: exact_engine._joint_pmfs(path, [1, 2])):
+            tracemalloc.reset_peak()
+            with pytest.raises(ExactEngineCapError, match="simulate"):
+                request()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        status = main(["order-check", "--network", network, "--depths", "1", "2"])
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
+    assert status == 1 and "simulate" in capsys.readouterr().err
     # the state alone would be 3^20 doubles, about 26 GiB
-    assert peak < 1 << 16
+    assert max(peaks) < 1 << 16
+
+
+def test_joint_pmfs_match_joint_pmf_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for _ in range(12):
+        net = random_network(rng)
+        n = net.n_nodes
+        depths = [3, 0, 1, 3, n, n + 1, 10**12]
+        got = exact_engine._joint_pmfs(net, depths)
+        assert sorted(got) == sorted(set(depths))
+        for depth, pmf in got.items():
+            want = joint_pmf(net, depth)
+            assert pmf.dims == want.dims and pmf.probs.tobytes() == want.probs.tobytes()
+
+
+def test_joint_pmfs_play_each_round_once(monkeypatch):
+    calls = [0]
+    kernel = exact_engine._round
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(exact_engine, "_round", counted)
+
+    def rounds(solve):
+        calls[0] = 0
+        solve()
+        return calls[0]
+
+    net = complete_network([3, 4], 0.2, 0.1)
+    deepest = rounds(lambda: joint_pmf(net, 5))
+    assert deepest > 0
+    assert rounds(lambda: exact_engine._joint_pmfs(net, range(1, 6))) == deepest
+    # nothing moves after the N-th round: deeper depths play no more
+    saturated = rounds(lambda: joint_pmf(net, 7))
+    for depth in (8, 10**12):
+        assert rounds(lambda: joint_pmf(net, depth)) == saturated
 
 
 def test_every_over_budget_request_is_refused_as_a_cap_and_value_error():
