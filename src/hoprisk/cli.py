@@ -2,49 +2,43 @@
 
 Every command is a pure function of its inputs, flags, and seed; a JSON
 manifest recording the command, parameters, seed, and output digests is
-written next to each output file. Each ``cmd_*`` writes its outputs and
-returns the inputs, parameters and outputs of its manifest, which ``main``
-writes.
+written next to each output file. Each ``cmd_*`` writes its outputs, hashing
+the bytes as it writes them, and returns the inputs, parameters and output
+digests of its manifest, which ``main`` writes.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import secrets
 import sys
+from dataclasses import replace
 from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .exact import _joint_pmfs, joint_pmf
 from .network import (
     assign_types_by_degree,
-    build_network,
     generate_ba,
     load_json,
     save_json,
     with_type_probabilities,
 )
-from .pmf import JointPmf, _write_table
+from .pmf import JointPmf, _write_bytes, _write_table
 from .scoring import parse_rules, score_distribution
 from .simulate import STREAM, SampleMatrix, simulate_runs
 from .stats import _depth_correlations, _depth_moments, check_orthant_monotone, marginal_moments
 
 PROG = "hoprisk"
 
-# a command's manifest: its input files, its parameters and its output files
-Manifest = tuple[dict[str, str], dict, list[str]]
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return "sha256:" + h.hexdigest()
+# a command's manifest: its input files, its parameters and the digest of
+# each output file
+Manifest = tuple[dict[str, str], dict, dict[str, str]]
 
 
 def _write_manifest(
@@ -52,13 +46,13 @@ def _write_manifest(
     command: str,
     inputs: dict[str, str],
     parameters: dict,
-    outputs: Sequence[str],
+    outputs: dict[str, str],
 ) -> None:
     doc = {
         "command": command,
         "inputs": inputs,
         "parameters": parameters,
-        "outputs": {path: _sha256(path) for path in outputs},
+        "outputs": outputs,
         "tool_version": __version__,
     }
     with open(anchor + ".manifest.json", "w", encoding="utf-8") as fh:
@@ -85,17 +79,17 @@ def _parse_prob_list(raw: str, label: str) -> list[float]:
 def cmd_exact(args: argparse.Namespace) -> Manifest:
     net = load_json(args.network)
     pmf = joint_pmf(net, args.depth)
-    pmf.to_csv(args.out)
-    return {"network": args.network}, {"depth": args.depth, "seed": None}, [args.out]
+    outputs = {args.out: pmf.to_csv(args.out)}
+    return {"network": args.network}, {"depth": args.depth, "seed": None}, outputs
 
 
 def cmd_simulate(args: argparse.Namespace) -> Manifest:
     net = load_json(args.network)
     seed = _resolve_seed(args.seed)
     samples = simulate_runs(net, args.depth, args.runs, seed)
-    samples.to_csv(args.out)
+    outputs = {args.out: samples.to_csv(args.out)}
     parameters = {"depth": args.depth, "runs": args.runs, "seed": seed, "stream": STREAM}
-    return {"network": args.network}, parameters, [args.out]
+    return {"network": args.network}, parameters, outputs
 
 
 def _fmt(value: float | None) -> str:
@@ -103,38 +97,44 @@ def _fmt(value: float | None) -> str:
 
 
 def cmd_stats(args: argparse.Namespace) -> Manifest:
+    # the header tells the two kinds apart; the input is opened once
     with open(args.input, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        header = fh.readline()
+        fh.seek(0)
+        if header.startswith("run,depth,"):
+            source = SampleMatrix.from_csv(fh)
+        elif header.startswith("x_1,"):
+            source = JointPmf.from_csv(fh)
+        else:
+            raise ValueError(f"{args.input}: neither a sample CSV nor a PMF CSV")
     moments_path = args.out + ".moments.csv"
     moments = ["depth", "type", "mean", "sd"]
-    outputs = [moments_path]
-    if header.startswith("run,depth,"):
-        samples = SampleMatrix.from_csv(args.input)
-        mean, sd = _depth_moments(samples.counts)
+    outputs = {}
+    if isinstance(source, SampleMatrix):
+        mean, sd = _depth_moments(source.counts)
         moment_rows = [(l, t, mu, s)
                        for l, (mus, sds) in enumerate(zip(mean.tolist(), sd.tolist()), 1)
                        for t, (mu, s) in enumerate(zip(mus, sds), 1)]
-        _write_table(moments_path, moments, ["%d", "%d", "%.17g", "%.17g"], moment_rows)
-        by_pair = _depth_correlations(samples.counts)
+        outputs[moments_path] = _write_table(moments_path, moments,
+                                             ["%d", "%d", "%.17g", "%.17g"], moment_rows)
+        by_pair = _depth_correlations(source.counts)
         corr_rows = [(l, i + 1, j + 1, _fmt(d.pearson), _fmt(d.kendall), _fmt(d.spearman))
                      for l, at_depth in enumerate(zip(*by_pair.values()), 1)
                      for (i, j), d in zip(by_pair, at_depth)]
         corr_path = args.out + ".correlations.csv"
-        _write_table(corr_path, ["depth", "pair", "pearson", "kendall", "spearman"],
-                     ["%d", "%d-%d", "%s", "%s", "%s"], corr_rows)
-        outputs.append(corr_path)
-    elif header.startswith("x_1,"):
-        pmf = JointPmf.from_csv(args.input)
-        per_type = marginal_moments(pmf).per_type
-        # PMF moments have no depth: that column is left empty
-        _write_table(moments_path, moments, ["", "%d", "%.17g", "%.17g"],
-                     [(t, tm.mean, tm.sd) for t, tm in enumerate(per_type, 1)])
-        if pmf.num_types == 2:
-            contour_path = args.out + ".contour.csv"
-            _write_table(contour_path, ["x1", "x2", "prob"], ["%d", "%d", "%.17g"], pmf._table())
-            outputs.append(contour_path)
+        outputs[corr_path] = _write_table(
+            corr_path, ["depth", "pair", "pearson", "kendall", "spearman"],
+            ["%d", "%d-%d", "%s", "%s", "%s"], corr_rows)
     else:
-        raise ValueError(f"{args.input}: neither a sample CSV nor a PMF CSV")
+        per_type = marginal_moments(source).per_type
+        # PMF moments have no depth: that column is left empty
+        outputs[moments_path] = _write_table(
+            moments_path, moments, ["", "%d", "%.17g", "%.17g"],
+            [(t, tm.mean, tm.sd) for t, tm in enumerate(per_type, 1)])
+        if source.num_types == 2:
+            contour_path = args.out + ".contour.csv"
+            outputs[contour_path] = _write_table(contour_path, ["x1", "x2", "prob"],
+                                                 ["%d", "%d", "%.17g"], source._table())
     return {"input": args.input}, {"seed": None}, outputs
 
 
@@ -143,8 +143,9 @@ def cmd_score(args: argparse.Namespace) -> Manifest:
     with open(args.rules, "r", encoding="utf-8") as fh:
         rules = parse_rules(fh.read())
     dist = score_distribution(rules, pmf)
-    _write_table(args.out, ["score", "prob"], ["%d", "%.17g"], list(dist.items()))
-    return {"pmf": args.pmf, "rules": args.rules}, {"seed": None}, [args.out]
+    outputs = {args.out: _write_table(args.out, ["score", "prob"], ["%d", "%.17g"],
+                                      list(dist.items()))}
+    return {"pmf": args.pmf, "rules": args.rules}, {"seed": None}, outputs
 
 
 def cmd_generate(args: argparse.Namespace) -> Manifest:
@@ -156,7 +157,7 @@ def cmd_generate(args: argparse.Namespace) -> Manifest:
         p_by_type = _parse_prob_list(args.p, "--p") if args.p else [0.0] * net.num_types
         q_by_type = _parse_prob_list(args.q, "--q") if args.q else [0.0] * net.num_types
         net = with_type_probabilities(net, p_by_type, q_by_type)
-    save_json(net, args.out)
+    outputs = {args.out: save_json(net, args.out)}
     parameters = {
         "model": "ba",
         "nodes": args.nodes,
@@ -168,7 +169,7 @@ def cmd_generate(args: argparse.Namespace) -> Manifest:
         "q": args.q,
         "seed": seed,
     }
-    return {}, parameters, [args.out]
+    return {}, parameters, outputs
 
 
 def cmd_order_check(args: argparse.Namespace) -> Manifest | None:
@@ -198,11 +199,8 @@ def cmd_order_check(args: argparse.Namespace) -> Manifest | None:
     else:
         claims = [f"{name} scaled by {scale}" for name, scale in scales.items()]
         p_scale, q_scale = scales.get("p", 1.0), scales.get("q", 1.0)
-        scaled = build_network(
-            [(v, t, min(1.0, pi * p_scale)) for v, t, pi in zip(net.node_ids, net.types, net.p)],
-            net.edges,
-            q={pair: min(1.0, qij * q_scale) for pair, qij in net.q.items()},
-        )
+        scaled = replace(net, p=tuple(min(1.0, pi * p_scale) for pi in net.p),
+                         arc_q=np.minimum(1.0, net.arc_q * q_scale))
         lo = joint_pmf(net, args.depth)
         hi = joint_pmf(scaled, args.depth)
         claim = f"base <= {', '.join(claims)} at depth {args.depth}"
@@ -211,8 +209,7 @@ def cmd_order_check(args: argparse.Namespace) -> Manifest | None:
     sys.stdout.write(text)
     if not args.out:
         return None
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    outputs = {args.out: _write_bytes(args.out, [text.encode()])}
     parameters = {
         "depths": args.depths,
         "depth": args.depth,
@@ -221,7 +218,7 @@ def cmd_order_check(args: argparse.Namespace) -> Manifest | None:
         "tol": args.tol,
         "seed": None,
     }
-    return {"network": args.network}, parameters, [args.out]
+    return {"network": args.network}, parameters, outputs
 
 
 def build_parser() -> argparse.ArgumentParser:

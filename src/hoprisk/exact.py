@@ -18,7 +18,7 @@ multiply-adds in all.
 
 Everything a round needs of the network but not of the mass is its plan:
 the chunk layout, the target cells and each chunk's hit-probability
-factors, built once from ``net.csr``. A round is then one broadcast
+factors, built once from the network's arcs. A round is then one broadcast
 multiply, one matrix product and one scatter per chunk. The plan of the
 network solved last is kept, through a weak reference to that network, for
 separate calls on it at any depth, so at most one plan is held and it goes
@@ -201,10 +201,8 @@ def _chunk_factors(net: NetworkModel, layout: _Layout) -> list[tuple | np.ndarra
     """Per chunk of ``layout``, its factors on ``net`` or, past the cells
     left to store them, the ``keep`` array a round computes them from."""
     n, store = net.n_nodes, layout.store
-    adj = net.csr
-    dst = np.repeat(adj.targets, np.diff(adj.starts, append=len(adj.src)))
     survive = np.ones((n, n))
-    survive[adj.src, dst] = 1.0 - adj.q
+    survive[net.arc_src, net.arc_dst] = 1.0 - net.arc_q
     factors = []
     for _, _, _, inside, outside in layout.chunks:
         keep = survive[inside, outside]

@@ -2,10 +2,16 @@
 
 A network holds N nodes, each with a type index and a probability ``p`` of
 being compromised directly (by an attack from outside the network). Each
-undirected edge ``{u, v}`` carries two directed probabilities ``q[(u, v)]``
+undirected edge ``{u, v}`` carries two directed probabilities, ``q[(u, v)]``
 and ``q[(v, u)]``: the chance that a compromised endpoint compromises the
 other one in a single propagation attempt. Pairs without an edge have an
 implicit q of zero.
+
+The directed arcs, held as arrays, are the one stored form of the graph.
+:func:`build_network` and :func:`load_json` hand their input to one private
+function, :func:`_network`, which checks it with numpy and sorts the arcs;
+the mapping ``q``, the edge set ``edges`` and the array view ``csr`` are
+derived from the arcs.
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import itemgetter
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .pmf import _write_bytes
 
 __all__ = [
     "Adjacency",
@@ -36,10 +43,6 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
-
-
-def _canon(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,32 +65,65 @@ class Adjacency:
     onehot: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkModel:
     """Immutable network with typed nodes and compromise probabilities.
 
-    Construct through :func:`build_network` (which validates all invariants)
-    rather than directly. ``node_ids`` are unique and ascending; built
-    networks use the dense labels ``0..N-1``, while induced subnetworks keep
-    the ids of their parent. ``q`` holds an entry for every ordered pair on
-    every edge and is the one stored form of the graph: ``edges``,
-    :meth:`degree` and ``csr`` derive from it.
+    Construct through :func:`build_network` or :func:`load_json` (which
+    validate all invariants) rather than directly. ``node_ids`` are unique
+    and ascending; built networks use the dense labels ``0..N-1``, while
+    induced subnetworks keep the ids of their parent. The graph is stored
+    once, as read-only arrays of its directed arcs, one each way on every
+    edge and sorted by (target, source): arc e runs from node position
+    ``arc_src[e]`` to ``arc_dst[e]`` with attempt probability ``arc_q[e]``.
+    ``q``, ``edges``, :meth:`degree` and ``csr`` derive from them. Two
+    networks are equal when their node fields and their arcs with q are.
     """
 
     node_ids: tuple[int, ...]
     types: tuple[int, ...]
     p: tuple[float, ...]
-    q: Mapping[Edge, float]
     num_types: int
+    arc_src: np.ndarray
+    arc_dst: np.ndarray
+    arc_q: np.ndarray
+
+    def __post_init__(self) -> None:
+        # read-only copies, so the caller's arrays stay writeable and cannot
+        # change this network's arcs
+        for name in ("arc_src", "arc_dst", "arc_q"):
+            arcs = np.array(getattr(self, name))
+            arcs.flags.writeable = False
+            object.__setattr__(self, name, arcs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NetworkModel):
+            return NotImplemented
+        return (
+            (self.node_ids, self.types, self.p, self.num_types)
+            == (other.node_ids, other.types, other.p, other.num_types)
+            and np.array_equal(self.arc_src, other.arc_src)
+            and np.array_equal(self.arc_dst, other.arc_dst)
+            and np.array_equal(self.arc_q, other.arc_q)
+        )
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
     @cached_property
+    def q(self) -> Mapping[Edge, float]:
+        """Ordered pair of node ids -> q, for every arc, in arc order."""
+        ids = np.array(self.node_ids)
+        pairs = zip(ids[self.arc_src].tolist(), ids[self.arc_dst].tolist())
+        return dict(zip(pairs, self.arc_q.tolist()))
+
+    @cached_property
     def edges(self) -> frozenset[Edge]:
         """The undirected edges, each as its ascending pair of node ids."""
-        return frozenset(_canon(u, v) for u, v in self.q)
+        ids = np.array(self.node_ids)
+        up = self.arc_src < self.arc_dst
+        return frozenset(zip(ids[self.arc_src[up]].tolist(), ids[self.arc_dst[up]].tolist()))
 
     @cached_property
     def index_of(self) -> dict[int, int]:
@@ -103,30 +139,19 @@ class NetworkModel:
 
     @cached_property
     def csr(self) -> Adjacency:
-        """The directed edges as arrays, sorted by (target, source) position."""
-        arcs = np.fromiter(chain.from_iterable(self.q), np.intp, 2 * len(self.q))
-        src, dst = np.searchsorted(np.array(self.node_ids), arcs).reshape(-1, 2).T
-        q = np.fromiter(self.q.values(), float, len(self.q))
-        order = np.lexsort((src, dst))
-        targets, starts = np.unique(dst[order], return_index=True)
+        """The arcs grouped by target, with the node arrays."""
+        starts = np.flatnonzero(np.diff(self.arc_dst, prepend=-1))
         return Adjacency(
-            src=src[order],
-            q=q[order],
-            targets=targets,
+            src=self.arc_src,
+            q=self.arc_q,
+            targets=self.arc_dst[starts],
             starts=starts,
             p=np.array(self.p, dtype=float),
             onehot=np.eye(self.num_types)[list(self.types)],
         )
 
     def degree(self, node: int) -> int:
-        return int(np.count_nonzero(self.csr.src == self.index_of[node]))
-
-
-def _first_outside_unit(values: Iterable[float]) -> int | None:
-    """Position of the first value outside [0, 1] (NaN included), or None."""
-    a = np.fromiter(values, float)
-    bad = np.flatnonzero(~((a >= 0.0) & (a <= 1.0)))
-    return int(bad[0]) if bad.size else None
+        return int(np.count_nonzero(self.arc_src == self.index_of[node]))
 
 
 def _probability(x: float) -> float:
@@ -138,6 +163,112 @@ def _probability(x: float) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _floats(values: Sequence) -> np.ndarray:
+    """``values`` as float64, each read as :func:`_probability` reads it."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.array([_probability(x) for x in values], dtype=float)
+
+
+def _int64(values: Sequence, what: str) -> np.ndarray:
+    """``values`` as int64, refusing a value that is not an integer in that
+    range (rather than truncating it)."""
+    try:
+        ints = np.array(values, dtype=np.int64)
+    except OverflowError:
+        ints = None
+    if ints is None or not (ints == np.array(values, dtype=object)).all():
+        raise ValueError(f"{what} must be 64-bit integers")
+    return ints
+
+
+def _first_outside_unit(a: np.ndarray) -> int | None:
+    """Position of the first value outside [0, 1] (NaN included), or None."""
+    bad = ~((a >= 0.0) & (a <= 1.0))
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _repeats(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask of the edges that join the same two nodes as an earlier edge
+    (repeated self-loops are left to the self-loop check)."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # a stable sort keeps the edges of one pair in input order
+    by_pair = np.lexsort((hi, lo))
+    first, later = by_pair[:-1], by_pair[1:]
+    repeat = np.zeros(u.size, dtype=bool)
+    repeat[later] = (lo[later] == lo[first]) & (hi[later] == hi[first]) & (lo[later] != hi[later])
+    return repeat
+
+
+def _network(
+    ids: np.ndarray,
+    types: np.ndarray,
+    p: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    q: np.ndarray,
+) -> NetworkModel:
+    """Check a network given as arrays and store it as sorted arcs.
+
+    Node i has id ``ids[i]``, type ``types[i]`` and direct probability
+    ``p[i]``; edge e joins the nodes with ids ``u[e]`` and ``v[e]`` (no two
+    edges join the same nodes), and ``q[2e]`` and ``q[2e + 1]`` are the
+    probabilities of its arcs ``u[e] -> v[e]`` and ``v[e] -> u[e]``.
+
+    Each check runs on the input order and names the first offender. In
+    turn: at least one node, unique and dense ids ``0..N-1``, non-negative
+    types with none empty, p in [0, 1]; no self-loop and no unknown node on
+    an edge; q in [0, 1]. NaN is outside [0, 1].
+    """
+    n = ids.size
+    if n == 0:
+        raise ValueError("network must have at least one node")
+    dense = np.arange(n)
+    if not np.array_equal(ids, dense):
+        by_id = np.argsort(ids, kind="stable")
+        ids, types, p = ids[by_id], types[by_id], p[by_id]
+        if (ids[1:] == ids[:-1]).any():
+            raise ValueError("duplicate node ids")
+        if not np.array_equal(ids, dense):
+            raise ValueError("node ids must be dense 0..N-1")
+    if types.min() < 0:
+        raise ValueError("type indices must be non-negative")
+    # n nodes fill at most the types 0..n-1, so counting those finds the
+    # first empty type
+    top = int(types.max())
+    sizes = np.bincount(np.minimum(types, n), minlength=n)[: min(top, n - 1) + 1]
+    if not sizes.all():
+        raise ValueError(f"type {sizes.argmin()} has no nodes")
+    i = _first_outside_unit(p)
+    if i is not None:
+        raise ValueError(f"p for node {i} out of [0, 1]: {p[i]}")
+
+    loop = u == v
+    bad = loop | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+    if bad.any():
+        e = bad.argmax()
+        if loop[e]:
+            raise ValueError(f"self-loop on node {u[e]}")
+        raise ValueError(f"edge ({u[e]}, {v[e]}) references unknown node")
+
+    # every arc, one each way per edge, in input order
+    src, dst = np.stack((u, v), axis=1).reshape(-1), np.stack((v, u), axis=1).reshape(-1)
+    a = _first_outside_unit(q)
+    if a is not None:
+        raise ValueError(f"q for ({src[a]}, {dst[a]}) out of [0, 1]: {q[a]}")
+    by_arc = np.argsort(dst * n + src)
+    return NetworkModel(
+        node_ids=tuple(range(n)),
+        types=tuple(types.tolist()),
+        p=tuple(p.tolist()),
+        num_types=top + 1,
+        arc_src=src[by_arc],
+        arc_dst=dst[by_arc],
+        arc_q=q[by_arc],
+    )
+
+
 def build_network(
     node_specs: Iterable[tuple[int, int, float]],
     edge_specs: Iterable[tuple[int, int]],
@@ -146,56 +277,41 @@ def build_network(
     """Validate specs and assemble a :class:`NetworkModel`.
 
     ``node_specs`` are ``(id, type, p)`` triples with dense ids ``0..N-1``.
-    ``edge_specs`` are unordered node pairs. ``q`` is either a single
-    probability applied to every directed pair on every edge, or a mapping
-    from ordered pairs to probabilities (missing pairs default to 0); pairs
-    off an edge are rejected.
+    ``edge_specs`` are unordered node pairs; a pair given twice is one edge.
+    ``q`` is either a single probability applied to every directed pair on
+    every edge, or a mapping from ordered pairs to probabilities (missing
+    pairs default to 0); pairs off an edge are rejected.
     """
-    nodes = sorted(node_specs)
-    if not nodes:
-        raise ValueError("network must have at least one node")
-    ids = [n[0] for n in nodes]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate node ids")
-    if ids != list(range(len(ids))):
-        raise ValueError("node ids must be dense 0..N-1")
-    types = tuple(int(n[1]) for n in nodes)
-    if min(types) < 0:
-        raise ValueError("type indices must be non-negative")
-    num_types = max(types) + 1
-    for t in range(num_types):
-        if t not in types:
-            raise ValueError(f"type {t} has no nodes")
-    p = tuple(_probability(n[2]) for n in nodes)
-    i = _first_outside_unit(p)
-    if i is not None:
-        raise ValueError(f"p for node {i} out of [0, 1]: {p[i]}")
-
-    id_set = set(ids)
-    edges: set[Edge] = set()
-    for u, v in edge_specs:
-        if u == v:
-            raise ValueError(f"self-loop on node {u}")
-        if u not in id_set or v not in id_set:
-            raise ValueError(f"edge ({u}, {v}) references unknown node")
-        edges.add(_canon(u, v))
-
-    arcs = edges | {(v, u) for u, v in edges}
+    nodes = list(node_specs)
+    edges = list(edge_specs)
+    ids = _int64([node[0] for node in nodes], "node ids")
+    types = _int64([node[1] for node in nodes], "node types")
+    p = _floats([node[2] for node in nodes])
+    u, v = _int64(edges, "edge ends").reshape(len(edges), 2).T
+    once = ~_repeats(u, v)
+    u, v = u[once], v[once]
     if q is None or isinstance(q, (int, float)):
-        qmap = dict.fromkeys(arcs, 0.0 if q is None else _probability(q))
-    else:
-        qmap = {pair: _probability(qij) for pair, qij in q.items()}
-        if not qmap.keys() <= arcs:
-            i, j = next(pair for pair in q if pair not in arcs)
-            raise ValueError(f"q given for ({i}, {j}) but {{{i}, {j}}} is not an edge")
-        if len(qmap) < len(arcs):
-            qmap.update(dict.fromkeys(arcs - qmap.keys(), 0.0))
-    i = _first_outside_unit(qmap.values())
-    if i is not None:
-        pair = next(islice(qmap, i, None))
-        raise ValueError(f"q for {pair} out of [0, 1]: {qmap[pair]}")
-
-    return NetworkModel(node_ids=tuple(ids), types=types, p=p, q=qmap, num_types=num_types)
+        every = 0.0 if q is None else _probability(q)
+        return _network(ids, types, p, u, v, np.full(2 * u.size, every))
+    # the nodes and edges are checked first; then each pair of the mapping,
+    # in its order, is found among the sorted arcs
+    net = _network(ids, types, p, u, v, np.zeros(2 * u.size))
+    src, dst = _int64(list(q), "q pairs").reshape(len(q), 2).T
+    values = _floats(list(q.values()))
+    n = net.n_nodes
+    keys, given = net.arc_dst * n + net.arc_src, dst * n + src
+    at = keys.searchsorted(given)
+    known = (src >= 0) & (src < n) & (dst >= 0) & (dst < n) & (at < keys.size)
+    known[known] = keys[at[known]] == given[known]
+    if not known.all():
+        i, j = src[known.argmin()], dst[known.argmin()]
+        raise ValueError(f"q given for ({i}, {j}) but {{{i}, {j}}} is not an edge")
+    a = _first_outside_unit(values)
+    if a is not None:
+        raise ValueError(f"q for ({src[a]}, {dst[a]}) out of [0, 1]: {values[a]}")
+    arc_q = np.zeros(keys.size)
+    arc_q[at] = values
+    return replace(net, arc_q=arc_q)
 
 
 def induced_subnetwork(net: NetworkModel, nodes: Iterable[int]) -> NetworkModel:
@@ -210,14 +326,20 @@ def induced_subnetwork(net: NetworkModel, nodes: Iterable[int]) -> NetworkModel:
     unknown = keep - set(net.node_ids)
     if unknown:
         raise ValueError(f"unknown node ids: {sorted(unknown)}")
+    inside = np.array([v in keep for v in net.node_ids], dtype=bool)
+    arcs = inside[net.arc_src] & inside[net.arc_dst]
+    # the kept nodes' new positions keep their order, so the arcs stay sorted
+    position = np.cumsum(inside) - 1
     kept_ids = tuple(v for v in net.node_ids if v in keep)
     idx = net.index_of
     return NetworkModel(
         node_ids=kept_ids,
         types=tuple(net.types[idx[v]] for v in kept_ids),
         p=tuple(net.p[idx[v]] for v in kept_ids),
-        q={(u, v): qv for (u, v), qv in net.q.items() if u in keep and v in keep},
         num_types=net.num_types,
+        arc_src=position[net.arc_src[arcs]],
+        arc_dst=position[net.arc_dst[arcs]],
+        arc_q=net.arc_q[arcs],
     )
 
 
@@ -273,7 +395,7 @@ def generate_ba(
                 probs /= probs.sum()
             chosen.append(int(rng.choice(s, p=probs)))
         for t in chosen:
-            edges.add(_canon(s, t))
+            edges.add((t, s))
             degree[t] += 1
             degree[s] += 1
     node_specs = [(i, 0, 0.0) for i in range(n)]
@@ -289,7 +411,7 @@ def assign_types_by_degree(net: NetworkModel, top_k: int) -> NetworkModel:
     if not 0 < top_k < n:
         raise ValueError(f"top_k must be in 1..{n - 1}")
     # a stable sort keeps tied nodes in ascending position, so ascending id
-    ranked = np.argsort(-np.bincount(net.csr.src, minlength=n), kind="stable")
+    ranked = np.argsort(-np.bincount(net.arc_src, minlength=n), kind="stable")
     types = np.ones(n, dtype=int)
     types[ranked[:top_k]] = 0
     return replace(net, types=tuple(types.tolist()), num_types=2)
@@ -312,10 +434,9 @@ def with_type_probabilities(
     for val in list(p_by_type) + list(q_by_type):
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"probability out of [0, 1]: {val}")
-    idx = net.index_of
     p = tuple(float(p_by_type[t]) for t in net.types)
-    q = {(u, v): float(q_by_type[net.types[idx[u]]]) for u, v in net.q}
-    return replace(net, p=p, q=q)
+    q = np.array(q_by_type, dtype=float)[np.array(net.types)[net.arc_src]]
+    return replace(net, p=p, arc_q=q)
 
 
 def complete_network(
@@ -382,32 +503,36 @@ def load_json(path: str) -> NetworkModel:
     if "edges" not in doc:
         raise ValueError(f"{path}: missing 'edges' key")
     try:
-        node_specs = [(n["id"], n["type"], n["p"]) for n in doc["nodes"]]
-        edge_specs = [(e["u"], e["v"]) for e in doc["edges"]]
-        q = {}
-        for e in doc["edges"]:
-            q[(e["u"], e["v"])] = e.get("q_uv", 0.0)
-            q[(e["v"], e["u"])] = e.get("q_vu", 0.0)
+        # one entry at a time, so the first malformed one is named
+        node_rows = [(node["id"], node["type"], node["p"]) for node in doc["nodes"]]
+        edge_rows = [(edge["u"], edge["v"], edge.get("q_uv", 0.0), edge.get("q_vu", 0.0))
+                     for edge in doc["edges"]]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"{path}: malformed entry: {exc}") from exc
-    ints = chain(map(itemgetter(0), node_specs), map(itemgetter(1), node_specs),
-                 chain.from_iterable(edge_specs))
-    numbers = chain(map(itemgetter(2), node_specs), q.values())
-    if not (set(map(type, ints)) <= _INTEGER and set(map(type, numbers)) <= _NUMBER):
-        _refuse_json_types(path, doc)
-    if len(q) < 2 * len(edge_specs):
-        # an edge given twice would overwrite the first one's q values
-        seen: set[frozenset] = set()
-        for u, v in edge_specs:
-            if u != v and frozenset((u, v)) in seen:
-                raise ValueError(f"{path}: duplicate edge ({u}, {v})")
-            seen.add(frozenset((u, v)))
-    return build_network(node_specs, edge_specs, q=q)
+    ids, types, p = zip(*node_rows) if node_rows else ((),) * 3
+    u, v, q_uv, q_vu = zip(*edge_rows) if edge_rows else ((),) * 4
+    if not (set(map(type, chain(ids, types, u, v))) <= _INTEGER
+            and set(map(type, chain(p, q_uv, q_vu))) <= _NUMBER):
+        _refuse_json_fields(path, doc)
+    try:
+        ints = np.array(ids + types + u + v, dtype=np.int64)
+    except OverflowError:
+        _refuse_json_fields(path, doc)
+    n, m = len(ids), len(u)
+    ids, types, u, v = np.split(ints, [n, 2 * n, 2 * n + m])
+    repeat = _repeats(u, v)
+    if repeat.any():
+        # a second entry for an edge would replace the first one's q values
+        e = repeat.argmax()
+        raise ValueError(f"{path}: duplicate edge ({u[e]}, {v[e]})")
+    # q of u -> v and of v -> u for each edge in turn
+    q = _floats(q_uv + q_vu).reshape(2, m).T.reshape(-1)
+    return _network(ids, types, _floats(p), u, v, q)
 
 
-def _refuse_json_types(path: str, doc: dict) -> None:
+def _refuse_json_fields(path: str, doc: dict) -> None:
     """Raise for the first node or edge field of ``doc`` whose value is not
-    of its JSON type."""
+    of its JSON type, or is an integer outside the 64-bit range."""
     for group, keys in (("nodes", ("id", "type", "p")), ("edges", ("u", "v", "q_uv", "q_vu"))):
         for i, entry in enumerate(doc[group]):
             for key in keys:
@@ -415,23 +540,26 @@ def _refuse_json_types(path: str, doc: dict) -> None:
                 value = entry.get(key, 0.0)
                 if type(value) not in types:
                     raise ValueError(f"{path}: {group}[{i}]: {key!r} must be {kind}, got {value!r}")
+                if types is _INTEGER and not -(1 << 63) <= value < 1 << 63:
+                    raise ValueError(f"{path}: {group}[{i}]: {key!r} must fit in 64 bits, "
+                                     f"got {value!r}")
 
 
-def save_json(net: NetworkModel, path: str) -> None:
-    """Write the JSON representation; requires dense ids 0..N-1."""
+def save_json(net: NetworkModel, path: str) -> str:
+    """Write the JSON representation; requires dense ids 0..N-1. Returns the
+    sha256 digest of the bytes written."""
     if net.node_ids != tuple(range(net.n_nodes)):
         raise ValueError("only networks with dense ids 0..N-1 can be saved")
-    idx = net.index_of
+    # the arcs v -> u with u < v come sorted by (u, v), one per edge in the
+    # edge order written; the arcs u -> v are sorted into the same order
+    up = net.arc_src < net.arc_dst
+    down = ~up
+    q_uv = net.arc_q[up][np.lexsort((net.arc_dst[up], net.arc_src[up]))]
+    edges = zip(net.arc_dst[down].tolist(), net.arc_src[down].tolist(), q_uv.tolist(),
+                net.arc_q[down].tolist())
     doc = {
-        "nodes": [
-            {"id": v, "type": net.types[idx[v]], "p": net.p[idx[v]]}
-            for v in net.node_ids
-        ],
-        "edges": [
-            {"u": u, "v": v, "q_uv": net.q[(u, v)], "q_vu": net.q[(v, u)]}
-            for u, v in sorted(net.edges)
-        ],
+        "nodes": [{"id": v, "type": t, "p": pv}
+                  for v, t, pv in zip(net.node_ids, net.types, net.p)],
+        "edges": [{"u": u, "v": v, "q_uv": quv, "q_vu": qvu} for u, v, quv, qvu in edges],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return _write_bytes(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -73,28 +76,37 @@ class JointPmf:
         cells = np.indices(self.dims).reshape(self.num_types, -1)
         return np.column_stack((*cells, self.probs.reshape(-1)))
 
-    def to_csv(self, path: str) -> None:
-        _write_table(path, [f"x_{i + 1}" for i in range(self.num_types)] + ["prob"],
-                     ["%d"] * self.num_types + ["%.17g"], self._table())
+    def to_csv(self, path: str) -> str:
+        """Write the grid CSV; returns the sha256 digest of its bytes."""
+        return _write_table(path, [f"x_{i + 1}" for i in range(self.num_types)] + ["prob"],
+                            ["%d"] * self.num_types + ["%.17g"], self._table())
 
     @classmethod
-    def from_csv(cls, path: str) -> "JointPmf":
-        grid = _read_grid(path, "PMF", None, ["prob"], 0, np.float64)
+    def from_csv(cls, source: str | TextIO) -> "JointPmf":
+        """Read a PMF CSV from a path, or from a text file opened from a path
+        and still at its start."""
+        grid = _read_grid(source, "PMF", None, ["prob"], 0, np.float64)
         try:
             return cls(grid.shape[:-1], grid[..., 0])
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{_path(source)}: {exc}") from None
+
+
+def _path(source: str | TextIO) -> str:
+    """The path of ``source``: ``source`` itself, or the name of an open file."""
+    return source if isinstance(source, (str, os.PathLike)) else source.name
 
 
 def _read_grid(
-    path: str,
+    source: str | TextIO,
     what: str,
     keys: list[str] | None,
     values: list[str] | None,
     base: int,
     value_type: type,
 ) -> np.ndarray:
-    """Read a grid CSV: one row for each cell of a full integer grid.
+    """Read a grid CSV, from a path or from a text file opened from a path
+    and still at its start: one row for each cell of a full integer grid.
 
     The header is the ``keys`` columns, then the ``values`` columns; one of
     the two is None, standing for the count columns ``x_1..x_m`` (m >= 1,
@@ -106,7 +118,8 @@ def _read_grid(
     the largest i-th key minus ``base``, plus 1. Rows already in that order
     are not sorted: the values come back as a view of the parsed rows.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    path = _path(source)
+    with open(path, "r", encoding="utf-8") if path is source else nullcontext(source) as fh:
         header = fh.readline().rstrip("\n").split(",")
         xs = [f"x_{i + 1}" for i in range(len(header) - len(keys or values))]
         keys, values = keys or xs, values or xs
@@ -181,16 +194,30 @@ def _rows_increase(key: np.ndarray) -> bool:
     return bool(above.all())
 
 
+def _write_bytes(path: str, chunks: Iterable[bytes]) -> str:
+    """Write ``chunks`` to ``path`` in turn; returns the sha256 digest of the
+    bytes written, as ``sha256:<hex>``."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+    return "sha256:" + digest.hexdigest()
+
+
 def _write_table(path: str, header: list[str], fmt: list[str],
-                 table: np.ndarray | list[tuple]) -> None:
+                 table: np.ndarray | list[tuple]) -> str:
     """Write the ``header`` names, then one line per row of ``table`` (a 2-D
     array, or a list of row tuples), each column formatted with its %-format
     in ``fmt``; ``_CSV_ROWS`` rows are formatted at a time, which bounds the
-    text held for any table size."""
+    text held for any table size. Returns the sha256 digest of the bytes written."""
     row = ",".join(fmt) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+
+    def lines() -> Iterable[bytes]:
+        yield (",".join(header) + "\n").encode()
         for r0 in range(0, len(table), _CSV_ROWS):
             chunk = table[r0 : r0 + _CSV_ROWS]
             cells = chunk.ravel().tolist() if isinstance(chunk, np.ndarray) else chain(*chunk)
-            fh.write(row * len(chunk) % tuple(cells))
+            yield (row * len(chunk) % tuple(cells)).encode()
+
+    return _write_bytes(path, lines())

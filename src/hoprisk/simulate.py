@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .network import NetworkModel
-from .pmf import JointPmf, _read_grid, _write_table
+from .pmf import JointPmf, _path, _read_grid, _write_table
 
 __all__ = [
     "STREAM",
@@ -111,16 +111,22 @@ class SampleMatrix:
             raise ValueError(f"depth must be in 1..{self.depth}")
         return self.counts[:, depth - 1, :]
 
-    def to_csv(self, path: str) -> None:
+    def to_csv(self, path: str) -> str:
+        """Write the sample CSV; returns the sha256 digest of its bytes."""
         runs, depth, m = self.counts.shape
         k, l = np.divmod(np.arange(runs * depth, dtype=np.int64), depth)
         table = np.column_stack((k + 1, l + 1, self.counts.reshape(-1, m)))
-        _write_table(path, ["run", "depth"] + [f"x_{t + 1}" for t in range(m)],
-                     ["%d"] * (2 + m), table)
+        return _write_table(path, ["run", "depth"] + [f"x_{t + 1}" for t in range(m)],
+                            ["%d"] * (2 + m), table)
 
     @classmethod
-    def from_csv(cls, path: str, type_sizes: Sequence[int] | None = None) -> "SampleMatrix":
-        counts = _read_grid(path, "sample", ["run", "depth"], None, 1, np.int64)
+    def from_csv(
+        cls, source: str | TextIO, type_sizes: Sequence[int] | None = None
+    ) -> "SampleMatrix":
+        """Read a sample CSV from a path, or from a text file opened from a
+        path and still at its start."""
+        counts = _read_grid(source, "sample", ["run", "depth"], None, 1, np.int64)
+        path = _path(source)
         m = counts.shape[2]
         sizes = tuple(int(s) for s in type_sizes) if type_sizes is not None else None
         if sizes is not None and len(sizes) != m:

@@ -173,9 +173,9 @@ def test_criterion_6_stochastic_order_properties():
         )
         assert report.passed, f"p: {report.summary()}"
 
-        q_hi = {k: v + float(rng.random()) * (1.0 - v) for k, v in net.q.items()}
+        q_hi = net.arc_q + rng.random(net.arc_q.size) * (1.0 - net.arc_q)
         report = check_orthant_monotone(
-            base, joint_pmf(replace(net, q=q_hi), depth), tol=1e-12
+            base, joint_pmf(replace(net, arc_q=q_hi), depth), tol=1e-12
         )
         assert report.passed, f"q: {report.summary()}"
         instances += 1

@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import math
 import os
@@ -211,6 +213,47 @@ def test_integers_too_large_for_a_float_are_refused(tmp_path, capsys, command, g
     path.write_text(json.dumps(doc))
     _refused_with_one_error_line([*command, "--network", str(path), "-L", "1",
                                   "--out", str(tmp_path / "out.csv")], capsys)
+
+
+@pytest.mark.parametrize("command", [["exact"], ["simulate", "-K", "2", "--seed", "1"]])
+@pytest.mark.parametrize("edges", [[{"u": 0, "v": 1}, {"u": 1, "v": 0}], [{"u": 0, "v": 10**30}]])
+def test_a_repeated_or_64_bit_overflowing_edge_is_refused(tmp_path, capsys, command, edges):
+    doc = {"nodes": [{"id": 0, "type": 0, "p": 0.1}, {"id": 1, "type": 1, "p": 0.2}],
+           "edges": edges}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    _refused_with_one_error_line([*command, "--network", str(path), "-L", "1",
+                                  "--out", str(tmp_path / "out.csv")], capsys)
+
+
+@pytest.mark.parametrize("command, files", [
+    (["simulate", "--network", "<net>", "-L", "3", "-K", "40", "--seed", "2", "--out", "<s>"], 3),
+    (["stats", "--in", "<s>", "--out", "<st>"], 4),
+])
+def test_commands_open_each_file_once_and_hash_what_they_write(tmp_path, k5_path, monkeypatch,
+                                                               command, files):
+    names = {"<net>": k5_path, "<s>": str(tmp_path / "s.csv"), "<st>": str(tmp_path / "st")}
+    argv = [names.get(arg, arg) for arg in command]
+    assert main(["simulate", "--network", k5_path, "-L", "3", "-K", "40", "--seed", "2",
+                 "--out", names["<s>"]]) == 0
+    opened, open_ = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open_(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    # the input once, each output once and the manifest
+    assert len(opened) == files, opened
+    anchor = argv[argv.index("--out") + 1]
+    with open(anchor + ".manifest.json", encoding="utf-8") as fh:
+        outputs = json.load(fh)["outputs"]
+    assert len(outputs) == files - 2
+    for path, digest in outputs.items():
+        with open(path, "rb") as fh:
+            assert digest == "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_generate_command(tmp_path):

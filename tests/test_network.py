@@ -1,8 +1,12 @@
+import hashlib
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoprisk import (
     assign_types_by_degree,
@@ -81,7 +85,7 @@ def test_induced_subnetwork_star_leaves():
     assert sub.edges == frozenset()
 
 
-def test_induced_subnetwork_with_sparse_ids_derives_edges_degree_and_csr_from_q():
+def test_induced_subnetwork_with_sparse_ids_derives_q_edges_degree_and_csr_from_its_arcs():
     net = assign_types_by_degree(generate_ba(40, 2, 3, rng_seed=5), 8)
     net = with_type_probabilities(net, [0.1, 0.2], [0.3, 0.4])
     keep = set(range(3, 40, 3))
@@ -299,6 +303,27 @@ def test_json_self_loop_is_not_a_duplicate(tmp_path):
         load_json(str(path))
 
 
+@pytest.mark.parametrize("nodes, edges, missing", [
+    ('[{"id": 0, "type": 0}, {"type": 0, "p": 0.1}]', "[]", "'p'"),
+    ('[{"id": 0, "type": 0, "p": 0.1}]', '[{"u": 0}, {"v": 0}]', "'v'"),
+    ('[{"id": 0, "p": 0.1}]', '[{"v": 0}]', "'type'"),
+])
+def test_json_malformed_entry_names_the_first_missing_key(tmp_path, nodes, edges, missing):
+    path = tmp_path / "malformed.json"
+    path.write_text(f'{{"nodes": {nodes}, "edges": {edges}}}')
+    with pytest.raises(ValueError) as err:
+        load_json(str(path))
+    assert str(err.value) == f"{path}: malformed entry: {missing}"
+
+
+def test_network_keeps_copies_of_the_arc_arrays(example_net):
+    q = example_net.arc_q * 0.5
+    halved = replace(example_net, arc_q=q)
+    q[:] = 1.0
+    assert halved.arc_q.tolist() == (example_net.arc_q * 0.5).tolist()
+    assert not halved.arc_q.flags.writeable
+
+
 def test_range_errors_name_the_first_offending_node_or_pair():
     nodes = [(0, 0, 0.5), (1, 0, 1.5), (2, 0, -1.0)]
     with pytest.raises(ValueError, match=r"^p for node 1 out of \[0, 1\]: 1.5$"):
@@ -343,3 +368,82 @@ def test_json_fields_must_have_their_json_types(tmp_path, where, key, value, kin
     assert str(err.value) == f"{path}: {where}: {key!r} must be {kind}, got {json.loads(value)!r}"
     # in memory, numbers are converted as before
     assert build_network([(0, 0, True), (1, 1, "0.5")], [(0, 1)], q=0.3).p == (1.0, 0.5)
+
+
+@pytest.mark.parametrize("where, key", [("nodes[1]", "id"), ("nodes[1]", "type"),
+                                        ("edges[0]", "u"), ("edges[0]", "v")])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_json_integers_outside_64_bits_are_refused_naming_the_file(tmp_path, where, key, sign):
+    doc = {"nodes": [{"id": 0, "type": 0, "p": 0.1}, {"id": 1, "type": 1, "p": 0.2}],
+           "edges": [{"u": 0, "v": 1, "q_uv": 0.3, "q_vu": 0.4}]}
+    group, i = where[:-3], int(where[-2])
+    doc[group][i][key] = sign * 10**30
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_json(str(path))
+    assert str(err.value) == f"{path}: {where}: {key!r} must fit in 64 bits, got {sign * 10**30}"
+
+
+def test_json_edge_to_a_negative_id_names_the_unknown_node(tmp_path):
+    path = tmp_path / "negative.json"
+    path.write_text('{"nodes": [{"id": 0, "type": 0, "p": 0.1}, {"id": 1, "type": 0, "p": 0.1}],'
+                    ' "edges": [{"u": 0, "v": 1}, {"u": 1, "v": -3}]}')
+    with pytest.raises(ValueError) as err:
+        load_json(str(path))
+    assert str(err.value) == "edge (1, -3) references unknown node"
+
+
+def test_save_json_reproduces_a_generated_ba200_file_byte_for_byte(tmp_path):
+    net = assign_types_by_degree(generate_ba(200, 2, 5, rng_seed=1), 20)
+    net = with_type_probabilities(net, [0.05, 0.15], [0.2, 0.3])
+    first, again = tmp_path / "ba200.json", tmp_path / "again.json"
+    digest = save_json(net, str(first))
+    assert save_json(load_json(str(first)), str(again)) == digest
+    assert again.read_bytes() == first.read_bytes()
+    assert digest == "sha256:" + hashlib.sha256(first.read_bytes()).hexdigest()
+
+
+@st.composite
+def network_specs(draw):
+    """Node specs in a drawn order, edges in a drawn order and orientation,
+    and a q for each arc."""
+    n = draw(st.integers(1, 12))
+    raw = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    types = [sorted(set(raw)).index(t) for t in raw]
+    probs = st.floats(0.0, 1.0)
+    nodes = draw(st.permutations([(i, types[i], draw(probs)) for i in range(n)]))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    q = {}
+    for u, v in edges:
+        q[(u, v)], q[(v, u)] = draw(probs), draw(probs)
+    return nodes, edges, q
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(specs=network_specs())
+def test_built_and_loaded_networks_store_the_arcs_of_their_specs(tmp_path_factory, specs):
+    nodes, edges, q = specs
+    net = build_network(nodes, edges, q=q)
+    path = tmp_path_factory.mktemp("net") / "net.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": v, "type": t, "p": p} for v, t, p in nodes],
+        "edges": [{"u": u, "v": v, "q_uv": q[(u, v)], "q_vu": q[(v, u)]} for u, v in edges]}))
+    loaded = load_json(str(path))
+    assert loaded == net
+    assert net.q == q and loaded.q == q
+    assert net.edges == loaded.edges == frozenset((min(e), max(e)) for e in edges)
+    by_id = sorted(nodes)
+    arcs = sorted(q, key=lambda arc: (arc[1], arc[0]))
+    for csr in (net.csr, loaded.csr):
+        dst = np.repeat(csr.targets, np.diff(np.append(csr.starts, len(csr.src))))
+        assert list(zip(csr.src.tolist(), dst.tolist())) == arcs
+        assert csr.targets.tolist() == sorted({t for _, t in arcs})
+        assert csr.q.tolist() == [q[arc] for arc in arcs]
+        assert csr.p.tolist() == [p for _, _, p in by_id]
+        assert csr.onehot.tolist() == np.eye(net.num_types)[[t for _, t, _ in by_id]].tolist()
+    resaved = tmp_path_factory.mktemp("net") / "resaved.json"
+    save_json(net, str(resaved))
+    assert load_json(str(resaved)) == net

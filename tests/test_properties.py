@@ -134,9 +134,10 @@ def test_warm_plans_match_cold_plans(nets, runs):
 def test_raising_p_or_q_raises_every_run_at_the_same_seed(net, depth, seed, data):
     # common random numbers: each run reads the same slots whatever p and q are
     p_hi = tuple(data.draw(st.floats(pi, 1.0)) for pi in net.p)
-    q_hi = {pair: data.draw(st.floats(qv, 1.0)) for pair, qv in sorted(net.q.items())}
+    q_hi = np.array([data.draw(st.floats(qv, 1.0)) for qv in net.arc_q.tolist()])
     base = simulate_runs(net, depth, 64, seed).counts
-    for raised in (replace(net, p=p_hi), replace(net, q=q_hi), replace(net, p=p_hi, q=q_hi)):
+    for raised in (replace(net, p=p_hi), replace(net, arc_q=q_hi),
+                   replace(net, p=p_hi, arc_q=q_hi)):
         assert (simulate_runs(raised, depth, 64, seed).counts >= base).all()
 
 

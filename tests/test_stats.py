@@ -259,8 +259,8 @@ def _bump_p(net, delta, rng):
 def _bump_q(net, delta, rng):
     from dataclasses import replace
 
-    q = {k: min(1.0, v + float(rng.random()) * delta) for k, v in net.q.items()}
-    return replace(net, q=q)
+    q = np.minimum(1.0, net.arc_q + rng.random(net.arc_q.size) * delta)
+    return replace(net, arc_q=q)
 
 
 def test_orthant_monotonicity_random_instances():
