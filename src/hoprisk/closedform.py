@@ -13,9 +13,17 @@ next front. One engine runs this chain for every topology here, at any depth,
 so these are exact fast paths, not approximations; the test suite checks them
 against the general engine.
 
-The state is a dense array with two axes per class. It and the per-class
-binomial tables are reserved in the exact engine's cell budget before
-anything is allocated; networks above it raise :class:`ExactEngineCapError`.
+Each class has one read-out table: the distribution of its count after a
+round, given its count and the fronts that hit it. Round 1 reads each front
+at its count, since the front is the direct hits, so it needs no front axes;
+at depth 1 it contracts straight into the counts. Deeper, round 1 is a plain
+product into (count before, count after) per class, and every later round
+starts from a strided view of the last result that reads it as (count,
+front), so no shear is copied; a middle round is one contraction with the
+tables, and the last round contracts into the counts. The tables, the result
+and the contraction's intermediates are reserved in the exact engine's cell
+budget before anything is allocated; networks above it raise
+:class:`ExactEngineCapError`.
 """
 
 from __future__ import annotations
@@ -77,18 +85,24 @@ class TwoClassParams:
                 raise ValueError(f"probability out of [0, 1]: {val}")
 
 
-def _binom_pmf(n: int, h: np.ndarray | float) -> np.ndarray:
-    """``out[m, ..., k]`` = P(Binomial(m, h) = k) for m, k in 0..n, any shape of h.
+def _readout_table(n: int, h: np.ndarray | float) -> np.ndarray:
+    """``out[c, ..., x]`` = P(c + Binomial(n - c, h) = x) for c, x in 0..n,
+    any shape of h: the count after a round that starts from c of n nodes
+    compromised and hits each intact node with probability h.
 
-    Adds one trial at a time, so no large binomial coefficients appear and
-    h = 0 or 1 gives exact point masses.
+    Row c is row c + 1 with one more trial, so no large binomial
+    coefficients appear and h = 0 or 1 gives exact point masses.
     """
     h = np.asarray(h, dtype=float)[..., None]
+    miss = 1.0 - h
     out = np.zeros((n + 1,) + h.shape[:-1] + (n + 1,))
-    out[0, ..., 0] = 1.0
-    for m in range(1, n + 1):
-        out[m] = (1.0 - h) * out[m - 1]
-        out[m, ..., 1:] += h * out[m - 1, ..., :-1]
+    out[n, ..., n] = 1.0
+    for c in range(n - 1, -1, -1):
+        row, nxt = out[c], out[c + 1]
+        # row c has one more intact node: hit, the count is row c + 1's;
+        # missed, it is one less
+        np.multiply(h, nxt, out=row)
+        row[..., :-1] += miss * nxt[..., 1:]
     return out
 
 
@@ -117,45 +131,91 @@ def _chain_binomial(
     ``(N_1 + 1, ..., N_k + 1)``.
     """
     k = len(sizes)
-    # class t is hit only by the fronts of the classes s with q[s][t] > 0
+    # einsum axes: class t's count c_t is 2t, its front f_t 2t+1 and its
+    # count after the round x_t 2k+t; class t is hit only by the fronts of
+    # the classes s with q[s][t] > 0
     hitters = [[s for s in range(k) if q[s][t] > 0.0] for t in range(k)]
-    state_cells = math.prod((n + 1) ** 2 for n in sizes)
-    table_cells = sum(
-        (sizes[t] + 1) ** 2 * math.prod(sizes[s] + 1 for s in hitters[t])
-        for t in range(k)
-    )
-    # the round contraction needs a few state-sized temporaries on top
-    _reserve(state_cells + table_cells, f"class sizes {tuple(sizes)}")
+    axes = [[2 * t] + [2 * s + 1 for s in hitters[t]] + [2 * k + t] for t in range(k)]
+    # in round 1 the front is the direct hits, so each front is read at its
+    # count (a class that hits itself is read on a diagonal)
+    direct = [[2 * t] + [2 * s for s in hitters[t]] + [2 * k + t] for t in range(k)]
+    read = [list(dict.fromkeys(ax)) for ax in direct]
+    length = [n + 1 for n in sizes for _ in range(2)] + [n + 1 for n in sizes]
+    out = list(range(2 * k, 3 * k))
+    # each round with a nonempty front adds a node, so later rounds are idle
+    rounds = min(depth, sum(sizes))
 
-    # einsum axes: class t's count c_t is 2t, its front f_t 2t+1, its new hits 2k+t
-    state = reduce(np.multiply.outer, [np.diag(start) for start in starts])
-    args = [state, list(range(2 * k))]
+    def cells(ax: Sequence[int]) -> int:
+        return math.prod(length[a] for a in ax)
+
+    # A round ends in (c, x) per class, laid out as `pairs`, and the next
+    # starts from (count x, front x - c): a view of that result with axes
+    # `labels` whose (x, f) is the result's (x - f, x). Where f > x that c is
+    # negative, so the read moves on to a cell where that class has c > x,
+    # which is 0 as a class does not lose nodes, or into the `pad` zeros
+    # before the result. That holds as each class's c axis is outside its x
+    # axis, but for the outermost axis, an x. The largest class takes it,
+    # which keeps `pad` under 1/(N + 1) of the result, and its c axis goes
+    # innermost, where a long axis runs fastest.
+    o = max(range(k), key=sizes.__getitem__)
+    pairs = [2 * k + o] + [a for t in range(k) if t != o for a in (2 * t, 2 * k + t)] + [2 * o]
+    shape = [length[a] for a in pairs]
+    stride = {a: math.prod(shape[i + 1:]) for i, a in enumerate(pairs)}
+    pad = sum(n * stride[2 * t] for t, n in enumerate(sizes))
+    labels = [a for t in range(k) for a in (2 * t, 2 * t + 1)]
+    view = [s for t in range(k) for s in (stride[2 * t] + stride[2 * k + t], -stride[2 * t])]
+
+    # One greedy path, found on stand-ins so that its intermediates are
+    # reserved before anything is allocated: the contraction into the counts
+    # after one round, or else a middle round's, which the last round reuses
+    # as it keeps a subset of those axes
+    operands = read if rounds == 1 else [labels] + axes
+    final = out if rounds <= 2 else pairs
+    stand_ins = [x for ax in operands for x in (np.broadcast_to(0.0, [length[a] for a in ax]), ax)]
+    path = np.einsum_path(*stand_ins, final, optimize="greedy")[0]
+    live, largest = [set(ax) for ax in operands], 0
+    for contracted in path[1:-1]:
+        merged = set().union(*(live.pop(i) for i in sorted(contracted, reverse=True)))
+        live.append(merged & set(final).union(*live))
+        largest = max(largest, cells(live[-1]))
+    # a middle round writes its result over the one it starts from if a step
+    # before its last contracts that one away
+    results = 0 if rounds == 1 else 1 if rounds == 2 or any(0 in c for c in path[1:-1]) else 2
+    # held: the tables, the reads at depth 1, the largest intermediate, the
+    # counts (or round 1's start weights) and the results with their zeros.
+    # numpy's contractions may copy an operand once more, unreserved
+    _reserve(
+        sum(cells(ax) for ax in axes + (read if rounds == 1 else [])) + largest + cells(out)
+        + results * (pad + cells(pairs)),
+        f"class sizes {tuple(sizes)}",
+    )
+
+    tables = []
     for t, n in enumerate(sizes):
         grids = np.ix_(*(np.arange(sizes[s] + 1) for s in hitters[t]))
         miss = reduce(np.multiply, ((1.0 - q[s][t]) ** g for s, g in zip(hitters[t], grids)), 1.0)
-        # indexed by c_t, so row c draws from the N_t - c intact nodes
-        table = _binom_pmf(n, 1.0 - miss)[::-1]
-        args += [table, [2 * t] + [2 * s + 1 for s in hitters[t]] + [2 * k + t]]
-    out_axes = [a for t in range(k) for a in (2 * t, 2 * k + t)]
-    path = np.einsum_path(*args, out_axes, optimize="optimal")[0]
+        tables.append(_readout_table(n, 1.0 - miss))
+    if rounds == 1:
+        reads = [x for t in range(k)
+                 for x in (np.einsum(starts[t], [2 * t], tables[t], direct[t], read[t]), read[t])]
+        return np.einsum(*reads, out, optimize=path)
 
-    # after a round, (c, new) moves to (c + new, new). Targets with f > c are
-    # unreachable and read (c = N, new = 1), which is always 0: a fully
-    # compromised class has no node left to hit
-    shears = []
-    for n in sizes:
-        c, f = np.indices((n + 1, n + 1))
-        shears.append(np.where(f <= c, (c - f) * (n + 1) + f, n * (n + 1) + 1).ravel())
+    buffers = [np.zeros(pad + cells(pairs)) for _ in range(results)]
 
-    # each round with a nonempty front adds a node, so later rounds are idle
-    for _ in range(min(depth, sum(sizes))):
-        args[0] = state
-        state = np.einsum(*args, out_axes, optimize=path)
-        for t, shear in enumerate(shears):
-            shape = state.shape
-            merged = state.reshape(shape[: 2 * t] + (-1,) + shape[2 * t + 2 :])
-            state = merged.take(shear, axis=2 * t).reshape(shape)
-    return state.sum(axis=tuple(range(1, 2 * k, 2)))
+    def start(result: np.ndarray) -> np.ndarray:
+        return np.ndarray([length[a] for a in labels], buffer=result, offset=pad * result.itemsize,
+                          strides=[s * result.itemsize for s in view])
+
+    # round 1 sums over nothing: the tables' product, weighted by the starts
+    state = buffers[0][pad:].reshape(shape)
+    np.einsum(*(x for t in range(k) for x in (tables[t], direct[t])), pairs, out=state)
+    weights = reduce(np.multiply.outer, [starts[a // 2] for a in pairs if a < 2 * k])
+    state *= weights.reshape([n if a < 2 * k else 1 for a, n in zip(pairs, shape)])
+    step = [x for t in range(k) for x in (tables[t], axes[t])]
+    for r in range(rounds - 2):
+        state = buffers[(r + 1) % results][pad:].reshape(shape)
+        np.einsum(start(buffers[r % results]), labels, *step, pairs, out=state, optimize=path)
+    return np.einsum(start(buffers[(rounds - 2) % results]), labels, *step, out, optimize=path)
 
 
 def r_complete(u: int, c: int, d: int, depth: int, *, q: float) -> float:

@@ -126,12 +126,6 @@ def marginal_moments(
     return _sample_moments(source, depth)
 
 
-def _sorted_firsts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a sorted, and a mask of the first entry of each distinct value."""
-    s = np.sort(a)
-    return s, np.concatenate(([True], s[1:] != s[:-1]))
-
-
 def _centred_scores(values: np.ndarray, margin: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Per table (axis 0): the distinct values (row 0) and their mid-ranks
     (row 1), each centred on its mean under the ``margin`` counts."""
@@ -200,16 +194,27 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> DependenceSummary:
         raise ValueError("need at least 2 samples")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise ValueError("x and y must be finite")
-    (xs, x_first), (ys, y_first) = _sorted_firsts(xa), _sorted_firsts(ya)
-    r, c = np.count_nonzero(x_first), np.count_nonzero(y_first)
+    # the table is refused before the samples are stacked and coded: a
+    # refusal costs one sorted copy of x and of y
+    r, c = np.unique(xa).size, np.unique(ya).size
     if r == 1 or c == 1:
         return DependenceSummary(None, None, None)
-    # the table and one working copy of it are the largest arrays held
     exact._reserve(2 * r * c, f"x has {r} distinct values and y has {c}: their "
                    "contingency table and its working copy", advice="")
-    xv, yv = xs[x_first], ys[y_first]
-    table = np.bincount(xv.searchsorted(xa) * c + yv.searchsorted(ya), minlength=r * c)
-    return _table_correlations(table.reshape(1, r, c), xv, yv)[0]
+    return _depth_correlations(np.stack((xa, ya), axis=1)[:, None])[(0, 1)][0]
+
+
+def _code(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``values``, ascending, and the index of each
+    entry among them. Counts (whole numbers from 0 to ``values.size``) take
+    one ``bincount``, O(n); other values take a sort."""
+    if values.size and values.min() >= 0 and values.max() <= values.size:
+        whole = values.astype(np.intp)
+        if (whole == values).all():
+            seen = np.bincount(whole.reshape(-1)) > 0
+            return np.flatnonzero(seen).astype(float), (np.cumsum(seen) - 1)[whole]
+    distinct, codes = np.unique(values, return_inverse=True)
+    return distinct, codes.reshape(values.shape)
 
 
 def _depth_correlations(counts: np.ndarray) -> dict[tuple[int, int], list[DependenceSummary]]:
@@ -229,10 +234,10 @@ def _depth_correlations(counts: np.ndarray) -> dict[tuple[int, int], list[Depend
         (i, j): [] for i in range(m) for j in range(i + 1, m)}
 
     def add(l0: int, l1: int) -> None:
-        group = counts[:, l0:l1].astype(float)
+        group = counts[:, l0:l1]
         size = l1 - l0
         # each type's distinct values over the group, and the code of each entry
-        coded = [np.unique(group[:, :, t], return_inverse=True) for t in range(m)]
+        coded = [_code(group[:, :, t]) for t in range(m)]
         widest = max((values.size for values, _ in coded), default=1)
         if size > 1 and 2 * size * widest * widest > exact._MAX_CELLS:
             for l in range(l0, l1):

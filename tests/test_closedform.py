@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,8 @@ from hoprisk import (
     ExactEngineCapError,
     TwoClassParams,
     bipartite_pmf,
+    build_network,
+    check_orthant_monotone,
     complete_bipartite_network,
     complete_homog_pmf,
     complete_network,
@@ -19,7 +22,8 @@ from hoprisk import (
     star_pmf,
 )
 
-from hoprisk.closedform import _binom_start
+import hoprisk.closedform as closedform
+from hoprisk.closedform import _binom_start, _chain_binomial
 
 from oracle import brute_force_joint_pmf
 
@@ -179,6 +183,113 @@ def test_no_propagation_is_independent_binomials_at_large_n():
     bip = bipartite_pmf(TwoClassParams(0.2, 0.7, 0.0, 0.0), 5, 45, depth=3)
     expected = np.outer(binom.pmf(np.arange(6), 5, 0.2), binom.pmf(np.arange(46), 45, 0.7))
     assert_allclose(bip.probs, expected, atol=1e-12)
+
+
+def test_paper_size_bipartite_at_depth_one_needs_no_front_axes():
+    # the paper's 20 servers and 180 workstations: after one round each side
+    # holds its direct hits d and Binomial(N - d, h) new nodes, with h set by
+    # the other side's direct hits
+    params = TwoClassParams(0.05, 0.15, 0.2, 0.3)
+    tracemalloc.start()
+    try:
+        got = bipartite_pmf(params, 20, 180).probs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d1, d2 = np.arange(21)[:, None, None], np.arange(181)[None, :, None]
+    x1, x2 = np.arange(21)[None, None, :], np.arange(181)[None, None, :]
+    first = binom.pmf(x1 - d1, 20 - d1, 1 - (1 - params.q21) ** d2)
+    second = binom.pmf(x2 - d2, 180 - d2, 1 - (1 - params.q12) ** d1)
+    direct = np.outer(binom.pmf(np.arange(21), 20, params.p1),
+                      binom.pmf(np.arange(181), 180, params.p2))
+    want = np.einsum("ab,abx,aby->xy", direct, first, second)
+    assert_allclose(got, want, rtol=0, atol=1e-12)
+    # a dense (compromised, front) state would be 21^2 * 181^2 doubles, 115 MB
+    assert peak < 32 << 20
+
+
+def test_paper_size_bipartite_at_depth_two_holds_one_state():
+    params = TwoClassParams(0.05, 0.15, 0.2, 0.3)
+    tracemalloc.start()
+    try:
+        deeper = bipartite_pmf(params, 20, 180, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(deeper.probs.sum() - 1) < 1e-9
+    assert check_orthant_monotone(bipartite_pmf(params, 20, 180), deeper).passed
+    # the budget holds one (compromised, front) state of 21^2 * 181^2
+    # doubles, 110 MiB, and numpy's contraction may copy it once
+    assert peak < 256 << 20
+
+
+def test_paper_size_bipartite_middle_round_is_over_budget():
+    # a middle round also holds its intermediate, 21^3 * 181 cells, which
+    # takes the state and the tables over the budget
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExactEngineCapError, match=r"class sizes \(20, 180\)"):
+            bipartite_pmf(TwoClassParams(0.05, 0.15, 0.2, 0.3), 20, 180, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def _three_classes():
+    """Sizes (2, 3, 2): class 0 hits itself and both ways with class 1,
+    class 1 hits class 2 one way, and classes 0 and 2 never meet."""
+    sizes = (2, 3, 2)
+    q = ((0.3, 0.4, 0.0), (0.2, 0.0, 0.5), (0.0, 0.0, 0.0))
+    p = (0.25, 0.1, 0.35)
+    return sizes, q, p
+
+
+def test_three_classes_match_the_exact_engine():
+    sizes, q, p = _three_classes()
+    types = [t for t, n in enumerate(sizes) for _ in range(n)]
+    pairs = {(u, v): q[types[u]][types[v]]
+             for u in range(len(types)) for v in range(len(types))
+             if u != v and q[types[u]][types[v]] > 0.0}
+    net = build_network([(v, t, p[t]) for v, t in enumerate(types)], list(pairs), pairs)
+    starts = [_binom_start(n, pt) for n, pt in zip(sizes, p)]
+    for depth in range(1, 5):
+        assert_allclose(_chain_binomial(sizes, starts, q, depth),
+                        joint_pmf(net, depth).probs, rtol=0, atol=1e-12)
+
+
+def test_no_einsum_intermediate_exceeds_the_reserved_cells(monkeypatch):
+    reserved, largest = [], []
+    reserve, einsum = closedform._reserve, np.einsum
+
+    def recording_reserve(cells, what, **kwargs):
+        reserved.append(cells)
+        reserve(cells, what, **kwargs)
+
+    def recording_einsum(*operands, optimize=False, **kwargs):
+        report = np.einsum_path(*operands, optimize=optimize)[1]
+        largest.append(float(re.search(r"Largest intermediate:\s+(\S+) elements", report)[1]))
+        return einsum(*operands, optimize=optimize, **kwargs)
+
+    monkeypatch.setattr(closedform, "_reserve", recording_reserve)
+    monkeypatch.setattr(np, "einsum", recording_einsum)
+    sizes, q, p = _three_classes()
+    two = TwoClassParams(0.05, 0.15, 0.2, 0.3)
+    calls = [
+        lambda depth: _chain_binomial(sizes, [_binom_start(n, pt) for n, pt in zip(sizes, p)],
+                                      q, depth),
+        lambda depth: bipartite_pmf(two, 5, 45, depth),
+        lambda depth: bipartite_pmf(two, 45, 5, depth),
+        lambda depth: star_pmf(two, 50, depth),
+        lambda depth: complete_homog_pmf(CompleteHomogParams((5, 45), 0.05, 0.01, depth)),
+    ]
+    for call in calls:
+        for depth in range(1, 5):
+            reserved.clear()
+            largest.clear()
+            call(depth)
+            assert len(reserved) == 1 and largest
+            assert max(largest) <= reserved[0]
 
 
 def test_oversized_classes_refused_before_allocating():
