@@ -10,8 +10,9 @@ implicit q of zero.
 The directed arcs, held as arrays, are the one stored form of the graph.
 :func:`build_network` and :func:`load_json` hand their input to one private
 function, :func:`_network`, which checks it with numpy and sorts the arcs;
-the mapping ``q``, the edge set ``edges`` and the array view ``csr`` are
-derived from the arcs.
+the mapping ``q``, the edge set ``edges``, the per-target grouping
+``arc_starts`` and the type matrix ``type_onehot`` are derived from the arcs
+and the node fields.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from .pmf import _write_bytes
 
 __all__ = [
-    "Adjacency",
     "NetworkModel",
     "build_network",
     "induced_subnetwork",
@@ -45,24 +45,9 @@ __all__ = [
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True, eq=False)
-class Adjacency:
-    """A network's arrays, indexed by node position in ``node_ids``.
-
-    Directed edge e runs from node ``src[e]`` with attempt probability
-    ``q[e]``; edges are sorted by (target, source). ``targets`` lists the
-    nodes with in-edges, ascending; the edges into ``targets[i]`` run from
-    ``starts[i]`` up to ``starts[i + 1]`` (the last ones to the end). ``p``
-    holds the direct-compromise probabilities and ``onehot[i, t]`` is 1.0
-    when node i has type t, else 0.0.
-    """
-
-    src: np.ndarray
-    q: np.ndarray
-    targets: np.ndarray
-    starts: np.ndarray
-    p: np.ndarray
-    onehot: np.ndarray
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +61,8 @@ class NetworkModel:
     once, as read-only arrays of its directed arcs, one each way on every
     edge and sorted by (target, source): arc e runs from node position
     ``arc_src[e]`` to ``arc_dst[e]`` with attempt probability ``arc_q[e]``.
-    ``q``, ``edges``, :meth:`degree` and ``csr`` derive from them. Two
-    networks are equal when their node fields and their arcs with q are.
+    ``q``, ``edges``, :meth:`degree` and ``arc_starts`` derive from them.
+    Two networks are equal when their node fields and their arcs with q are.
     """
 
     node_ids: tuple[int, ...]
@@ -92,9 +77,7 @@ class NetworkModel:
         # read-only copies, so the caller's arrays stay writeable and cannot
         # change this network's arcs
         for name in ("arc_src", "arc_dst", "arc_q"):
-            arcs = np.array(getattr(self, name))
-            arcs.flags.writeable = False
-            object.__setattr__(self, name, arcs)
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetworkModel):
@@ -138,17 +121,18 @@ class NetworkModel:
         return tuple(sizes)
 
     @cached_property
-    def csr(self) -> Adjacency:
-        """The arcs grouped by target, with the node arrays."""
-        starts = np.flatnonzero(np.diff(self.arc_dst, prepend=-1))
-        return Adjacency(
-            src=self.arc_src,
-            q=self.arc_q,
-            targets=self.arc_dst[starts],
-            starts=starts,
-            p=np.array(self.p, dtype=float),
-            onehot=np.eye(self.num_types)[list(self.types)],
-        )
+    def arc_starts(self) -> np.ndarray:
+        """The arcs grouped by target: the arcs into node
+        ``arc_dst[arc_starts[i]]`` run from ``arc_starts[i]`` up to
+        ``arc_starts[i + 1]`` (the last ones to the end). Nodes without
+        in-arcs have no group."""
+        return _read_only(np.flatnonzero(np.diff(self.arc_dst, prepend=-1)))
+
+    @cached_property
+    def type_onehot(self) -> np.ndarray:
+        """``type_onehot[i, t]`` is 1.0 when node position i has type t,
+        else 0.0."""
+        return _read_only(np.eye(self.num_types)[list(self.types)])
 
     def degree(self, node: int) -> int:
         return int(np.count_nonzero(self.arc_src == self.index_of[node]))

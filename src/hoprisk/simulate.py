@@ -139,7 +139,7 @@ class SampleMatrix:
 def _slots(net: NetworkModel) -> int:
     """Uniforms per run: N direct draws and one per directed edge, padded to
     a whole number of Philox counter steps (4 doubles)."""
-    return -(-(net.n_nodes + net.csr.src.size) // 4) * 4
+    return -(-(net.n_nodes + net.arc_src.size) // 4) * 4
 
 
 def _words(net: NetworkModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +150,7 @@ def _words(net: NetworkModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     smallest unsigned integer holding every run, or 64 bits above 64 runs;
     the bits past the last run are 0.
     """
-    g = net.csr
-    thresholds = np.concatenate((g.p, g.q))
+    thresholds = np.concatenate((net.p, net.arc_q))
     runs, m = len(u), thresholds.size
     if runs == 1:
         # a bool is a byte holding 0 or 1: already the word of one run
@@ -173,7 +172,8 @@ def _rounds(net: NetworkModel, depth: int, u: np.ndarray) -> Iterator[np.ndarray
     per node (see :func:`_words`); stops after ``depth`` rounds, or earlier
     once every run's front is empty.
     """
-    g = net.csr
+    starts = net.arc_starts
+    targets = net.arc_dst[starts]
     front, open_ = _words(net, u)
     up = ~front
     hit = np.zeros_like(front)
@@ -181,7 +181,7 @@ def _rounds(net: NetworkModel, depth: int, u: np.ndarray) -> Iterator[np.ndarray
     for _ in range(depth):
         if not front.any():
             return
-        hit[g.targets] = np.bitwise_or.reduceat(front[g.src] & open_, g.starts, axis=0)
+        hit[targets] = np.bitwise_or.reduceat(front[net.arc_src] & open_, starts, axis=0)
         front = hit & up
         up ^= front
         yield front
@@ -205,7 +205,7 @@ def _tally(net: NetworkModel, depth: int, runs: int, groups: Iterable[np.ndarray
     counts = np.zeros((runs, depth + 1, net.num_types), dtype=np.int64)
     l = 0
     for bits in groups:
-        counts[:, l : l + len(bits)] = (net.csr.onehot.T @ bits).transpose(2, 0, 1)
+        counts[:, l : l + len(bits)] = (net.type_onehot.T @ bits).transpose(2, 0, 1)
         l += len(bits)
     return counts.cumsum(axis=1, out=counts)
 

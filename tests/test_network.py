@@ -85,7 +85,7 @@ def test_induced_subnetwork_star_leaves():
     assert sub.edges == frozenset()
 
 
-def test_induced_subnetwork_with_sparse_ids_derives_q_edges_degree_and_csr_from_its_arcs():
+def test_induced_subnetwork_with_sparse_ids_derives_q_edges_degree_and_arc_starts():
     net = assign_types_by_degree(generate_ba(40, 2, 3, rng_seed=5), 8)
     net = with_type_probabilities(net, [0.1, 0.2], [0.3, 0.4])
     keep = set(range(3, 40, 3))
@@ -96,11 +96,14 @@ def test_induced_subnetwork_with_sparse_ids_derives_q_edges_degree_and_csr_from_
     assert sub.edges == frozenset((min(arc), max(arc)) for arc in arcs)
     for v in sub.node_ids:
         assert sub.degree(v) == sum(v in edge for edge in sub.edges)
-    csr = sub.csr
-    dst = np.repeat(csr.targets, np.diff(np.append(csr.starts, len(csr.src))))
-    assert list(zip(dst, csr.src)) == sorted(zip(dst, csr.src))
+    starts = sub.arc_starts
+    targets = sub.arc_dst[starts]
+    dst = np.repeat(targets, np.diff(np.append(starts, len(sub.arc_src))))
+    assert dst.tolist() == sub.arc_dst.tolist()
+    assert targets.tolist() == sorted(set(targets.tolist()))
+    assert list(zip(dst, sub.arc_src)) == sorted(zip(dst, sub.arc_src))
     ids = sub.node_ids
-    assert {(ids[s], ids[t]): q for s, t, q in zip(csr.src, dst, csr.q)} == sub.q
+    assert {(ids[s], ids[t]): q for s, t, q in zip(sub.arc_src, dst, sub.arc_q)} == sub.q
 
 
 def test_induced_subnetwork_unknown_id():
@@ -322,6 +325,8 @@ def test_network_keeps_copies_of_the_arc_arrays(example_net):
     q[:] = 1.0
     assert halved.arc_q.tolist() == (example_net.arc_q * 0.5).tolist()
     assert not halved.arc_q.flags.writeable
+    # the arrays derived from a network are read-only too
+    assert not (halved.arc_starts.flags.writeable or halved.type_onehot.flags.writeable)
 
 
 def test_range_errors_name_the_first_offending_node_or_pair():
@@ -437,13 +442,16 @@ def test_built_and_loaded_networks_store_the_arcs_of_their_specs(tmp_path_factor
     assert net.edges == loaded.edges == frozenset((min(e), max(e)) for e in edges)
     by_id = sorted(nodes)
     arcs = sorted(q, key=lambda arc: (arc[1], arc[0]))
-    for csr in (net.csr, loaded.csr):
-        dst = np.repeat(csr.targets, np.diff(np.append(csr.starts, len(csr.src))))
-        assert list(zip(csr.src.tolist(), dst.tolist())) == arcs
-        assert csr.targets.tolist() == sorted({t for _, t in arcs})
-        assert csr.q.tolist() == [q[arc] for arc in arcs]
-        assert csr.p.tolist() == [p for _, _, p in by_id]
-        assert csr.onehot.tolist() == np.eye(net.num_types)[[t for _, t, _ in by_id]].tolist()
+    for model in (net, loaded):
+        targets = model.arc_dst[model.arc_starts]
+        dst = np.repeat(targets, np.diff(np.append(model.arc_starts, len(model.arc_src))))
+        assert dst.tolist() == model.arc_dst.tolist()
+        assert list(zip(model.arc_src.tolist(), dst.tolist())) == arcs
+        assert targets.tolist() == sorted({t for _, t in arcs})
+        assert model.arc_q.tolist() == [q[arc] for arc in arcs]
+        assert list(model.p) == [p for _, _, p in by_id]
+        onehot = np.eye(net.num_types)[[t for _, t, _ in by_id]]
+        assert model.type_onehot.tolist() == onehot.tolist()
     resaved = tmp_path_factory.mktemp("net") / "resaved.json"
     save_json(net, str(resaved))
     assert load_json(str(resaved)) == net

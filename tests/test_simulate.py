@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,37 @@ def test_run_k_is_single_run_on_run_rng(monkeypatch, make_net):
             down = sorted(trace.cumulative_set(depth))
             expected = np.bincount(types[down], minlength=net.num_types)
             assert np.array_equal(trace.cumulative_counts[depth], expected)
+
+
+def _ten_nodes():
+    """Ten nodes of two types with a different q each way on every edge;
+    node 9 has no edge, so it is no arc's target."""
+    nodes = [(0, 0, 0.30), (1, 0, 0.05), (2, 0, 0.10), (3, 0, 0.00), (4, 1, 0.20),
+             (5, 1, 0.15), (6, 1, 0.00), (7, 1, 0.25), (8, 1, 0.05), (9, 1, 0.40)]
+    edges = [(0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (2, 6), (3, 7), (4, 5), (5, 6), (6, 8),
+             (7, 8), (0, 8)]
+    q = {}
+    for i, (u, v) in enumerate(edges):
+        q[(u, v)], q[(v, u)] = round(0.1 + 0.07 * i, 2), round(0.85 - 0.06 * i, 2)
+    return build_network(nodes, edges, q=q)
+
+
+@pytest.mark.parametrize("make_net, depth, runs, digest", [
+    # 28 slots a run: a block holds 9362 runs, so the second block starts at run 9362
+    (lambda: complete_network([2, 3], 0.2, 0.1), 3, 10_000,
+     "b940427d053a972502822ad81278b056c508be7aa9f5ae9d33676c94f0203572"),
+    (_ten_nodes, 4, 300, "828334b136d00730803ad3c3f57c375425f8a215159ccd3666329d422a01e843"),
+])
+def test_the_sample_stream_is_pinned(make_net, depth, runs, digest):
+    # the digests pin stream philox4x64-slots-v1: a change to them changes
+    # every sample of every seed, and needs a new STREAM version
+    net = make_net()
+    counts = simulate_runs(net, depth, runs, master_seed=20261019).counts
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+    for k in (0, 9362):
+        if k < runs:
+            trace = single_run(net, depth, run_rng(20261019, k, net))
+            assert np.array_equal(trace.cumulative_counts[1:], counts[k])
 
 
 def _round_by_round(net, depth, u):
