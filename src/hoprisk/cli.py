@@ -300,7 +300,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         manifest = args.func(args)
         if manifest is not None:
             _write_manifest(args.out, args.command, *manifest)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -29,6 +29,7 @@ depth variants at one seed are coupled (common random numbers).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -50,8 +51,9 @@ __all__ = [
 # Version of the seed -> samples mapping below; recorded in manifests.
 STREAM = "philox4x64-slots-v1"
 
-# Uniforms drawn and propagated, and front bits unpacked, at a time; bounds
-# memory for any run count and depth.
+# Uniforms drawn and propagated, and front bits unpacked, at a time (and, in
+# `stats`, sample entries of one type coded at a time); bounds memory for any
+# run count and depth.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -270,7 +272,12 @@ def empirical_pmf(
     depth: int,
     type_sizes: Sequence[int] | None = None,
 ) -> JointPmf:
-    """Normalized histogram of the count vectors observed at one depth."""
+    """Normalized histogram of the count vectors observed at one depth.
+
+    Raises ``ValueError`` when the type sizes are unknown or do not match
+    the types, when there are no runs, and when a count is negative or
+    exceeds its type's size.
+    """
     sizes = type_sizes if type_sizes is not None else samples.type_sizes
     if sizes is None:
         raise ValueError("type sizes unknown; pass type_sizes explicitly")
@@ -279,12 +286,17 @@ def empirical_pmf(
     if len(sizes) != samples.num_types:
         raise ValueError(f"{len(sizes)} type sizes for {samples.num_types} types")
     block = samples.at_depth(depth)
-    over = block > np.asarray(sizes)
-    if over.any():
-        k, t = np.argwhere(over)[0]
-        raise ValueError(f"run {k + 1}, depth {depth}: count {block[k, t]} of type {t + 1} "
-                         f"exceeds its size {sizes[t]}")
     dims = tuple(int(s) + 1 for s in sizes)
-    hist = np.zeros(dims)
-    np.add.at(hist, tuple(block[:, t] for t in range(samples.num_types)), 1.0)
-    return JointPmf(dims, hist / samples.runs)
+    try:
+        cells = np.ravel_multi_index(block.T, dims)
+    except ValueError:
+        # ravel_multi_index refuses a count outside 0..size: name the first
+        bad = np.argwhere((block < 0) | (block > np.asarray(sizes)))
+        if not bad.size:
+            raise
+        k, t = bad[0]
+        what = "is negative" if block[k, t] < 0 else f"exceeds its size {sizes[t]}"
+        raise ValueError(f"run {k + 1}, depth {depth}: count {block[k, t]} of type {t + 1} "
+                         f"{what}") from None
+    hist = np.bincount(cells, minlength=math.prod(dims))
+    return JointPmf(dims, hist.reshape(dims) / samples.runs)

@@ -8,13 +8,14 @@ Kendall's S sums each cell times the concordant minus discordant cells in
 the rows above it; Pearson and Spearman are the table-weighted correlations
 of the distinct values and of their mid-ranks. That costs O(n log n + r c)
 for n samples. The depths of a sample matrix take one table pass: each
-type's values are coded once over all L depths (in groups of at most
-``_CODED_CELLS`` entries) and one ``bincount`` builds a stack of L tables,
-in O(n L log(n L) + L r c) with r and c counted over all depths. Tables are
-reserved in the exact engines' cell budget, which refuses one above it
-before it is allocated (a stack of depths above it is taken one depth at a
-time). When a margin is constant, all three correlation measures are
-reported as explicitly undefined rather than silently zero.
+type's values are coded once over all L depths by ``np.unique`` (in groups
+of at most the Monte Carlo block size, ``_BLOCK_CELLS`` entries) and one
+``bincount`` builds a stack of L tables, in O(n L log(n L) + L r c) with r
+and c counted over all depths. Tables are reserved in the exact engines'
+cell budget, which refuses one above it before it is allocated (a stack of
+depths above it is taken one depth at a time). When a margin is constant,
+all three correlation measures are reported as explicitly undefined rather
+than silently zero.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import exact
 from .pmf import JointPmf
-from .simulate import SampleMatrix
+from .simulate import _BLOCK_CELLS, SampleMatrix
 
 __all__ = [
     "TypeMoments",
@@ -41,11 +42,6 @@ __all__ = [
     "lower_orthant_cdf",
     "check_orthant_monotone",
 ]
-
-
-# Sample entries of one type (runs x depths) coded at a time by the depth
-# pass of the correlations: bounds its working memory for any run count.
-_CODED_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -110,11 +106,6 @@ def _depth_moments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, sd
 
 
-def _sample_moments(samples: SampleMatrix, depth: int) -> MomentSummary:
-    mean, sd = _depth_moments(samples.at_depth(depth)[:, None])
-    return _summary(mean[0].tolist(), sd[0].tolist(), samples.type_sizes)
-
-
 def marginal_moments(
     source: JointPmf | SampleMatrix, depth: int | None = None
 ) -> MomentSummary:
@@ -123,7 +114,8 @@ def marginal_moments(
         return _pmf_moments(source)
     if depth is None:
         raise ValueError("depth required for sample moments")
-    return _sample_moments(source, depth)
+    mean, sd = _depth_moments(source.at_depth(depth)[:, None])
+    return _summary(mean[0].tolist(), sd[0].tolist(), source.type_sizes)
 
 
 def _centred_scores(values: np.ndarray, margin: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -204,30 +196,17 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> DependenceSummary:
     return _depth_correlations(np.stack((xa, ya), axis=1)[:, None])[(0, 1)][0]
 
 
-def _code(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of ``values``, ascending, and the index of each
-    entry among them. Counts (whole numbers from 0 to ``values.size``) take
-    one ``bincount``, O(n); other values take a sort."""
-    if values.size and values.min() >= 0 and values.max() <= values.size:
-        whole = values.astype(np.intp)
-        if (whole == values).all():
-            seen = np.bincount(whole.reshape(-1)) > 0
-            return np.flatnonzero(seen).astype(float), (np.cumsum(seen) - 1)[whole]
-    distinct, codes = np.unique(values, return_inverse=True)
-    return distinct, codes.reshape(values.shape)
-
-
 def _depth_correlations(counts: np.ndarray) -> dict[tuple[int, int], list[DependenceSummary]]:
     """Dependence summaries of every type pair (i, j), i < j, at each depth
     of ``counts[k, l, t]``, in depth order; all undefined for one run.
 
-    Each type's values are coded once over a group of depths, so one
-    ``bincount`` per pair builds the tables of every depth in the group on
-    the same value axes. A group holds at most ``_CODED_CELLS`` entries of a
-    type, or one depth. When its stack of tables is above the cell budget,
-    its depths are taken one at a time on their own values; a single depth
-    above the budget raises ``ExactEngineCapError``, as :func:`correlations`
-    does.
+    Each type's values are coded once over a group of depths by
+    ``np.unique``, so one ``bincount`` per pair builds the tables of every
+    depth in the group on the same value axes. A group holds at most
+    ``_BLOCK_CELLS`` entries of a type (the Monte Carlo block size), or one
+    depth. When its stack of tables is above the cell budget, its depths are
+    taken one at a time on their own values; a single depth above the budget
+    raises ``ExactEngineCapError``, as :func:`correlations` does.
     """
     runs, depth, m = counts.shape
     out: dict[tuple[int, int], list[DependenceSummary]] = {
@@ -237,12 +216,13 @@ def _depth_correlations(counts: np.ndarray) -> dict[tuple[int, int], list[Depend
         group = counts[:, l0:l1]
         size = l1 - l0
         # each type's distinct values over the group, and the code of each entry
-        coded = [_code(group[:, :, t]) for t in range(m)]
+        coded = [np.unique(group[:, :, t], return_inverse=True) for t in range(m)]
         widest = max((values.size for values, _ in coded), default=1)
         if size > 1 and 2 * size * widest * widest > exact._MAX_CELLS:
             for l in range(l0, l1):
                 add(l, l + 1)
             return
+        # numpy 2.x returns the codes in the group's shape, numpy 1.x flat
         codes = [inv.reshape(runs, size) for _, inv in coded]
         at = np.arange(size)
         where = f"depth {l0 + 1}" if size == 1 else f"depths {l0 + 1}..{l1}"
@@ -256,7 +236,7 @@ def _depth_correlations(counts: np.ndarray) -> dict[tuple[int, int], list[Depend
             table = np.bincount(cells.reshape(-1), minlength=size * r * c)
             summaries += _table_correlations(table.reshape(size, r, c), xv, yv)
 
-    step = max(1, _CODED_CELLS // runs)
+    step = max(1, _BLOCK_CELLS // runs)
     for l0 in range(0, depth, step):
         add(l0, min(depth, l0 + step))
     return out

@@ -125,10 +125,12 @@ def test_stats_from_comonotone_samples(tmp_path):
     assert [float(v) for v in corr[1].split(",")[2:]] == [1.0, 1.0, 1.0]
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
+def _python(code: str, preexec_fn=None, **env: str) -> subprocess.CompletedProcess:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **env)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          preexec_fn=preexec_fn)
 
 
 def test_import_loads_no_scipy_module():
@@ -151,6 +153,26 @@ def test_stats_runs_with_scipy_blocked(tmp_path, k5_path):
                           for ext in (".moments.csv", ".correlations.csv")]
     assert outputs["blocked"] == outputs["free"]
     assert b"undefined" not in outputs["free"][1]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="limits the child's address space")
+@pytest.mark.parametrize("runs, depth", [("1", "1000000000"), ("1000000000", "3")])
+def test_simulate_out_of_memory_ends_in_one_error_line(tmp_path, k5_path, runs, depth):
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    argv = ["simulate", "--network", k5_path, "-K", runs, "-L", depth, "--seed", "1",
+            "--out", str(tmp_path / "s.csv")]
+    done = _python(f"import sys; from hoprisk.cli import main; sys.exit(main({argv!r}))",
+                   preexec_fn=limit, OPENBLAS_NUM_THREADS="1")
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+    assert "Traceback" not in done.stderr
+    # no sample CSV and no manifest
+    assert [p.name for p in tmp_path.iterdir()] == ["k5.json"]
 
 
 def test_stats_rejects_unknown_csv(tmp_path, capsys):

@@ -295,6 +295,21 @@ def test_empirical_pmf_names_a_type_size_mismatch(sizes, message):
     assert str(err.value) == message
 
 
+def test_empirical_pmf_refuses_a_negative_count():
+    counts = np.array([[[0, 0]], [[-1, 3]]], dtype=np.int64)
+    sm = SampleMatrix(counts=counts, depth=1, master_seed=None, type_sizes=None)
+    with pytest.raises(ValueError) as err:
+        empirical_pmf(sm, 1, type_sizes=(2, 3))
+    assert str(err.value) == "run 2, depth 1: count -1 of type 1 is negative"
+
+
+def test_empirical_pmf_refuses_a_grid_too_large_to_index():
+    counts = np.array([[[0, 1]]], dtype=np.int64)
+    sm = SampleMatrix(counts=counts, depth=1, master_seed=None, type_sizes=None)
+    with pytest.raises(ValueError, match="dims"):
+        empirical_pmf(sm, 1, type_sizes=(2**40, 2**40))
+
+
 def test_empirical_matches_exact_on_tiny_net():
     # million-run agreement with the exact distribution, cell by cell
     net = build_network(

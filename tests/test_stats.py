@@ -182,7 +182,7 @@ def _spread_counts():
 def test_depth_correlations_code_the_depths_in_groups(monkeypatch):
     # 100 entries a type: the depths are coded two at a time
     counts = _spread_counts()
-    monkeypatch.setattr(hoprisk.stats, "_CODED_CELLS", 100)
+    monkeypatch.setattr(hoprisk.stats, "_BLOCK_CELLS", 100)
     _assert_same_as_per_depth(counts, _depth_correlations(counts))
 
 
