@@ -55,9 +55,8 @@ def _write_manifest(
         "outputs": outputs,
         "tool_version": __version__,
     }
-    with open(anchor + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_bytes(anchor + ".manifest.json",
+                 [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -199,7 +198,7 @@ def cmd_order_check(args: argparse.Namespace) -> Manifest | None:
     else:
         claims = [f"{name} scaled by {scale}" for name, scale in scales.items()]
         p_scale, q_scale = scales.get("p", 1.0), scales.get("q", 1.0)
-        scaled = replace(net, p=tuple(min(1.0, pi * p_scale) for pi in net.p),
+        scaled = replace(net, p=np.minimum(1.0, net.p * p_scale),
                          arc_q=np.minimum(1.0, net.arc_q * q_scale))
         lo = joint_pmf(net, args.depth)
         hi = joint_pmf(scaled, args.depth)

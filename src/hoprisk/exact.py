@@ -309,7 +309,7 @@ def r_prob(
         raise ValueError("target set must be a subset of the active set")
     sub = induced_subnetwork(net, active)
     # p in {0, 1} makes the direct attack an exact point mass on sources
-    forced = replace(sub, p=tuple(float(v in sources) for v in sub.node_ids))
+    forced = replace(sub, p=np.isin(sub.node_ids, list(sources)))
     return float(next(_set_probs(forced, [depth]))[_mask(sub, target)])
 
 
@@ -355,7 +355,7 @@ def _joint_pmfs(net: NetworkModel, depths: Iterable[int]) -> dict[int, JointPmf]
     _plan(net)
     dims = tuple(s + 1 for s in net.type_sizes)
     strides = np.cumprod((1,) + dims[:0:-1])[::-1]
-    cells = _subset_sums([int(strides[t]) for t in net.types])
+    cells = _subset_sums(strides[net.types])
     size = int(np.prod(dims))
     return {depth: JointPmf(dims, np.bincount(cells, weights=probs, minlength=size).reshape(dims))
             for depth, probs in zip(wanted, _set_probs(net, wanted))}

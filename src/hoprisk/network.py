@@ -7,7 +7,8 @@ and ``q[(v, u)]``: the chance that a compromised endpoint compromises the
 other one in a single propagation attempt. Pairs without an edge have an
 implicit q of zero.
 
-The directed arcs, held as arrays, are the one stored form of the graph.
+The network is stored as read-only arrays: the node ids, types and p, and
+the directed arcs, which are the one stored form of the graph.
 :func:`build_network` and :func:`load_json` hand their input to one private
 function, :func:`_network`, which checks it with numpy and sorts the arcs;
 the mapping ``q``, the edge set ``edges``, the per-target grouping
@@ -50,6 +51,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# the array fields of a network and their dtypes
+_ARRAYS = {"node_ids": np.int64, "types": np.int64, "p": np.float64,
+           "arc_src": np.int64, "arc_dst": np.int64, "arc_q": np.float64}
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
     """Immutable network with typed nodes and compromise probabilities.
@@ -62,12 +68,14 @@ class NetworkModel:
     edge and sorted by (target, source): arc e runs from node position
     ``arc_src[e]`` to ``arc_dst[e]`` with attempt probability ``arc_q[e]``.
     ``q``, ``edges``, :meth:`degree` and ``arc_starts`` derive from them.
-    Two networks are equal when their node fields and their arcs with q are.
+    The node fields are read-only arrays too: node i has id ``node_ids[i]``,
+    type ``types[i]`` and direct probability ``p[i]``. Two networks are equal
+    when their ``num_types`` and these six arrays are.
     """
 
-    node_ids: tuple[int, ...]
-    types: tuple[int, ...]
-    p: tuple[float, ...]
+    node_ids: np.ndarray
+    types: np.ndarray
+    p: np.ndarray
     num_types: int
     arc_src: np.ndarray
     arc_dst: np.ndarray
@@ -75,50 +83,41 @@ class NetworkModel:
 
     def __post_init__(self) -> None:
         # read-only copies, so the caller's arrays stay writeable and cannot
-        # change this network's arcs
-        for name in ("arc_src", "arc_dst", "arc_q"):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
+        # change this network
+        for name, dtype in _ARRAYS.items():
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetworkModel):
             return NotImplemented
-        return (
-            (self.node_ids, self.types, self.p, self.num_types)
-            == (other.node_ids, other.types, other.p, other.num_types)
-            and np.array_equal(self.arc_src, other.arc_src)
-            and np.array_equal(self.arc_dst, other.arc_dst)
-            and np.array_equal(self.arc_q, other.arc_q)
-        )
+        return self.num_types == other.num_types and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_ids)
+        return self.node_ids.size
 
     @cached_property
     def q(self) -> Mapping[Edge, float]:
         """Ordered pair of node ids -> q, for every arc, in arc order."""
-        ids = np.array(self.node_ids)
-        pairs = zip(ids[self.arc_src].tolist(), ids[self.arc_dst].tolist())
+        pairs = zip(self.node_ids[self.arc_src].tolist(), self.node_ids[self.arc_dst].tolist())
         return dict(zip(pairs, self.arc_q.tolist()))
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
         """The undirected edges, each as its ascending pair of node ids."""
-        ids = np.array(self.node_ids)
+        ids = self.node_ids
         up = self.arc_src < self.arc_dst
         return frozenset(zip(ids[self.arc_src[up]].tolist(), ids[self.arc_dst[up]].tolist()))
 
     @cached_property
     def index_of(self) -> dict[int, int]:
         """Node id -> position in ``node_ids`` (also the bitmask position)."""
-        return {v: i for i, v in enumerate(self.node_ids)}
+        return {v: i for i, v in enumerate(self.node_ids.tolist())}
 
     @cached_property
     def type_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * self.num_types
-        for t in self.types:
-            sizes[t] += 1
-        return tuple(sizes)
+        return tuple(np.bincount(self.types, minlength=self.num_types).tolist())
 
     @cached_property
     def arc_starts(self) -> np.ndarray:
@@ -132,7 +131,7 @@ class NetworkModel:
     def type_onehot(self) -> np.ndarray:
         """``type_onehot[i, t]`` is 1.0 when node position i has type t,
         else 0.0."""
-        return _read_only(np.eye(self.num_types)[list(self.types)])
+        return _read_only(np.eye(self.num_types)[self.types])
 
     def degree(self, node: int) -> int:
         return int(np.count_nonzero(self.arc_src == self.index_of[node]))
@@ -242,15 +241,8 @@ def _network(
     if a is not None:
         raise ValueError(f"q for ({src[a]}, {dst[a]}) out of [0, 1]: {q[a]}")
     by_arc = np.argsort(dst * n + src)
-    return NetworkModel(
-        node_ids=tuple(range(n)),
-        types=tuple(types.tolist()),
-        p=tuple(p.tolist()),
-        num_types=top + 1,
-        arc_src=src[by_arc],
-        arc_dst=dst[by_arc],
-        arc_q=q[by_arc],
-    )
+    return NetworkModel(node_ids=dense, types=types, p=p, num_types=top + 1,
+                        arc_src=src[by_arc], arc_dst=dst[by_arc], arc_q=q[by_arc])
 
 
 def build_network(
@@ -307,24 +299,17 @@ def induced_subnetwork(net: NetworkModel, nodes: Iterable[int]) -> NetworkModel:
     with the parent network.
     """
     keep = set(nodes)
-    unknown = keep - set(net.node_ids)
+    unknown = keep - net.index_of.keys()
     if unknown:
         raise ValueError(f"unknown node ids: {sorted(unknown)}")
-    inside = np.array([v in keep for v in net.node_ids], dtype=bool)
+    inside = np.isin(net.node_ids, list(keep))
     arcs = inside[net.arc_src] & inside[net.arc_dst]
     # the kept nodes' new positions keep their order, so the arcs stay sorted
     position = np.cumsum(inside) - 1
-    kept_ids = tuple(v for v in net.node_ids if v in keep)
-    idx = net.index_of
-    return NetworkModel(
-        node_ids=kept_ids,
-        types=tuple(net.types[idx[v]] for v in kept_ids),
-        p=tuple(net.p[idx[v]] for v in kept_ids),
-        num_types=net.num_types,
-        arc_src=position[net.arc_src[arcs]],
-        arc_dst=position[net.arc_dst[arcs]],
-        arc_q=net.arc_q[arcs],
-    )
+    return NetworkModel(node_ids=net.node_ids[inside], types=net.types[inside],
+                        p=net.p[inside], num_types=net.num_types,
+                        arc_src=position[net.arc_src[arcs]],
+                        arc_dst=position[net.arc_dst[arcs]], arc_q=net.arc_q[arcs])
 
 
 def _seed_edges(n_init: int, topology: str) -> set[Edge]:
@@ -377,7 +362,10 @@ def generate_ba(
                 probs = np.ones(s)
                 probs[chosen] = 0.0
                 probs /= probs.sum()
-            chosen.append(int(rng.choice(s, p=probs)))
+            # the draw Generator.choice(s, p=probs) makes
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            chosen.append(int(cdf.searchsorted(rng.random(), side="right")))
         for t in chosen:
             edges.add((t, s))
             degree[t] += 1
@@ -396,9 +384,9 @@ def assign_types_by_degree(net: NetworkModel, top_k: int) -> NetworkModel:
         raise ValueError(f"top_k must be in 1..{n - 1}")
     # a stable sort keeps tied nodes in ascending position, so ascending id
     ranked = np.argsort(-np.bincount(net.arc_src, minlength=n), kind="stable")
-    types = np.ones(n, dtype=int)
+    types = np.ones(n, dtype=np.int64)
     types[ranked[:top_k]] = 0
-    return replace(net, types=tuple(types.tolist()), num_types=2)
+    return replace(net, types=types, num_types=2)
 
 
 def with_type_probabilities(
@@ -418,8 +406,8 @@ def with_type_probabilities(
     for val in list(p_by_type) + list(q_by_type):
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"probability out of [0, 1]: {val}")
-    p = tuple(float(p_by_type[t]) for t in net.types)
-    q = np.array(q_by_type, dtype=float)[np.array(net.types)[net.arc_src]]
+    p = np.array(p_by_type, dtype=float)[net.types]
+    q = np.array(q_by_type, dtype=float)[net.types[net.arc_src]]
     return replace(net, p=p, arc_q=q)
 
 
@@ -532,7 +520,7 @@ def _refuse_json_fields(path: str, doc: dict) -> None:
 def save_json(net: NetworkModel, path: str) -> str:
     """Write the JSON representation; requires dense ids 0..N-1. Returns the
     sha256 digest of the bytes written."""
-    if net.node_ids != tuple(range(net.n_nodes)):
+    if not np.array_equal(net.node_ids, np.arange(net.n_nodes)):
         raise ValueError("only networks with dense ids 0..N-1 can be saved")
     # the arcs v -> u with u < v come sorted by (u, v), one per edge in the
     # edge order written; the arcs u -> v are sorted into the same order
@@ -543,7 +531,8 @@ def save_json(net: NetworkModel, path: str) -> str:
                 net.arc_q[down].tolist())
     doc = {
         "nodes": [{"id": v, "type": t, "p": pv}
-                  for v, t, pv in zip(net.node_ids, net.types, net.p)],
+                  for v, t, pv in zip(net.node_ids.tolist(), net.types.tolist(),
+                                      net.p.tolist())],
         "edges": [{"u": u, "v": v, "q_uv": quv, "q_vu": qvu} for u, v, quv, qvu in edges],
     }
     return _write_bytes(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])

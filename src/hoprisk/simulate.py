@@ -223,8 +223,7 @@ def single_run(net: NetworkModel, depth: int, rng: np.random.Generator) -> Compr
     fronts = list(_rounds(net, depth, rng.random((1, _slots(net)))))
     # one run: each word is one byte holding 0 or 1, so the words are the bits
     bits = np.stack(fronts)
-    ids = np.asarray(net.node_ids)
-    newly = [frozenset(ids[new].tolist()) for new in bits.view(bool)[:, :, 0]]
+    newly = [frozenset(net.node_ids[new].tolist()) for new in bits.view(bool)[:, :, 0]]
     newly += [frozenset()] * (depth + 1 - len(fronts))
     counts = _tally(net, depth, 1, [bits])[0]
     return CompromiseTrace(newly_by_depth=tuple(newly), cumulative_counts=counts)

@@ -62,9 +62,9 @@ def test_build_errors():
 def test_induced_subnetwork_of_complete():
     net = complete_network([2, 3], 0.2, 0.1)
     sub = induced_subnetwork(net, {3, 4, 2})
-    assert sub.node_ids == (2, 3, 4)
+    assert sub.node_ids.tolist() == [2, 3, 4]
     assert sub.edges == frozenset({(2, 3), (2, 4), (3, 4)})
-    assert sub.p == (0.2, 0.2, 0.2)
+    assert sub.p.tolist() == [0.2, 0.2, 0.2]
     assert sub.q[(4, 2)] == 0.1
     # type 0 got emptied but the layout is preserved
     assert sub.num_types == 2
@@ -90,7 +90,7 @@ def test_induced_subnetwork_with_sparse_ids_derives_q_edges_degree_and_arc_start
     net = with_type_probabilities(net, [0.1, 0.2], [0.3, 0.4])
     keep = set(range(3, 40, 3))
     sub = induced_subnetwork(net, keep)
-    assert sub.node_ids == tuple(sorted(keep))
+    assert sub.node_ids.tolist() == sorted(keep)
     arcs = {(u, v) for u, v in net.q if u in keep and v in keep}
     assert sub.q == {arc: net.q[arc] for arc in arcs}
     assert sub.edges == frozenset((min(arc), max(arc)) for arc in arcs)
@@ -169,12 +169,12 @@ def test_assign_types_by_degree_ba200():
 def test_assign_types_path_and_ties():
     path = build_network([(i, 0, 0.0) for i in range(3)], [(0, 1), (1, 2)])
     typed = assign_types_by_degree(path, 1)
-    assert typed.types == (1, 0, 1)
+    assert typed.types.tolist() == [1, 0, 1]
 
     cycle = build_network([(i, 0, 0.0) for i in range(4)],
                           [(0, 1), (1, 2), (2, 3), (3, 0)])
     typed = assign_types_by_degree(cycle, 2)
-    assert typed.types == (0, 0, 1, 1)
+    assert typed.types.tolist() == [0, 0, 1, 1]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -329,6 +329,36 @@ def test_network_keeps_copies_of_the_arc_arrays(example_net):
     assert not (halved.arc_starts.flags.writeable or halved.type_onehot.flags.writeable)
 
 
+def test_network_keeps_read_only_copies_of_the_node_arrays(example_net):
+    types, p = np.array(example_net.types), example_net.p * 0.5
+    changed = replace(example_net, types=types, p=p)
+    types[:], p[:] = -1, -1.0
+    assert changed.types.tolist() == example_net.types.tolist()
+    assert changed.p.tolist() == (example_net.p * 0.5).tolist()
+    assert (changed.node_ids.dtype, changed.types.dtype, changed.p.dtype) == (
+        np.int64, np.int64, np.float64)
+    for name in ("node_ids", "types", "p", "arc_src", "arc_dst", "arc_q"):
+        assert not getattr(changed, name).flags.writeable, name
+    assert replace(example_net, p=list(example_net.p)) == example_net
+
+
+@pytest.mark.parametrize("args, typed, digest", [
+    ((200, 2, 5, 1), True, "d19455e7c3241d620ad8f9f6f84a87ae602d56eef3860009f02228e8af3da1d8"),
+    ((300, 3, 3, 7, "star"), False,
+     "f7df0cf37409f17db50867dc450036fdc7b58b1586f71ed800e9dac7b9638936"),
+    ((120, 1, 1, 3, "path"), False,
+     "12d7affe5dacdf6f6ef55617eec898f914b086585b007985e178eabf465c1137"),
+    ((60, 2, 5, 42), False, "c4e38f8806eca0924bb1f27b9d75f61378080c52b43b9e5eb9c7f97179d7b2e5"),
+])
+def test_the_seed_to_network_mapping_and_json_bytes_are_pinned(tmp_path, args, typed, digest):
+    net = generate_ba(*args)
+    if typed:
+        net = with_type_probabilities(assign_types_by_degree(net, 20), [0.05, 0.15], [0.2, 0.3])
+    path = tmp_path / "net.json"
+    assert save_json(net, str(path)) == "sha256:" + digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_range_errors_name_the_first_offending_node_or_pair():
     nodes = [(0, 0, 0.5), (1, 0, 1.5), (2, 0, -1.0)]
     with pytest.raises(ValueError, match=r"^p for node 1 out of \[0, 1\]: 1.5$"):
@@ -364,7 +394,7 @@ def test_json_fields_must_have_their_json_types(tmp_path, where, key, value, kin
            "edges": [{"u": 0, "v": 1, "q_uv": 0.3, "q_vu": 0.4}]}
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
-    assert load_json(str(path)).types == (0, 1)
+    assert load_json(str(path)).types.tolist() == [0, 1]
     group, i = where[:-3], int(where[-2])
     doc[group][i][key] = json.loads(value)
     path.write_text(json.dumps(doc))
@@ -372,7 +402,7 @@ def test_json_fields_must_have_their_json_types(tmp_path, where, key, value, kin
         load_json(str(path))
     assert str(err.value) == f"{path}: {where}: {key!r} must be {kind}, got {json.loads(value)!r}"
     # in memory, numbers are converted as before
-    assert build_network([(0, 0, True), (1, 1, "0.5")], [(0, 1)], q=0.3).p == (1.0, 0.5)
+    assert build_network([(0, 0, True), (1, 1, "0.5")], [(0, 1)], q=0.3).p.tolist() == [1.0, 0.5]
 
 
 @pytest.mark.parametrize("where, key", [("nodes[1]", "id"), ("nodes[1]", "type"),
