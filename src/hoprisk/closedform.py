@@ -181,11 +181,11 @@ def _chain_binomial(
     # a middle round writes its result over the one it starts from if a step
     # before its last contracts that one away
     results = 0 if rounds == 1 else 1 if rounds == 2 or any(0 in c for c in path[1:-1]) else 2
-    # held: the tables, the reads at depth 1, the largest intermediate, the
-    # counts (or round 1's start weights) and the results with their zeros.
-    # numpy's contractions may copy an operand once more, unreserved
+    # held: the tables and their reads, the largest intermediate, the counts
+    # and the results with their zeros. numpy's contractions may copy an
+    # operand once more, unreserved
     _reserve(
-        sum(cells(ax) for ax in axes + (read if rounds == 1 else [])) + largest + cells(out)
+        sum(cells(ax) for ax in axes + read) + largest + cells(out)
         + results * (pad + cells(pairs)),
         f"class sizes {tuple(sizes)}",
     )
@@ -195,9 +195,10 @@ def _chain_binomial(
         grids = np.ix_(*(np.arange(sizes[s] + 1) for s in hitters[t]))
         miss = reduce(np.multiply, ((1.0 - q[s][t]) ** g for s, g in zip(hitters[t], grids)), 1.0)
         tables.append(_readout_table(n, 1.0 - miss))
+    # each table weighted by its class's start, read at the direct hits
+    reads = [x for t in range(k)
+             for x in (np.einsum(starts[t], [2 * t], tables[t], direct[t], read[t]), read[t])]
     if rounds == 1:
-        reads = [x for t in range(k)
-                 for x in (np.einsum(starts[t], [2 * t], tables[t], direct[t], read[t]), read[t])]
         return np.einsum(*reads, out, optimize=path)
 
     buffers = [np.zeros(pad + cells(pairs)) for _ in range(results)]
@@ -206,11 +207,9 @@ def _chain_binomial(
         return np.ndarray([length[a] for a in labels], buffer=result, offset=pad * result.itemsize,
                           strides=[s * result.itemsize for s in view])
 
-    # round 1 sums over nothing: the tables' product, weighted by the starts
+    # round 1 sums over nothing: the product of the reads
     state = buffers[0][pad:].reshape(shape)
-    np.einsum(*(x for t in range(k) for x in (tables[t], direct[t])), pairs, out=state)
-    weights = reduce(np.multiply.outer, [starts[a // 2] for a in pairs if a < 2 * k])
-    state *= weights.reshape([n if a < 2 * k else 1 for a, n in zip(pairs, shape)])
+    np.einsum(*reads, pairs, out=state)
     step = [x for t in range(k) for x in (tables[t], axes[t])]
     for r in range(rounds - 2):
         state = buffers[(r + 1) % results][pad:].reshape(shape)

@@ -8,21 +8,23 @@ other one in a single propagation attempt. Pairs without an edge have an
 implicit q of zero.
 
 The network is stored as read-only arrays: the node ids, types and p, and
-the directed arcs, which are the one stored form of the graph.
-:func:`build_network` and :func:`load_json` hand their input to one private
-function, :func:`_network`, which checks it with numpy and sorts the arcs;
-the mapping ``q``, the edge set ``edges``, the per-target grouping
-``arc_starts`` and the type matrix ``type_onehot`` are derived from the arcs
-and the node fields.
+the directed arcs, which are the one stored form of the graph. The
+library's builders and :func:`load_json` hand arrays straight to one private
+function, :func:`_network`, which checks them with numpy and sorts the arcs;
+:func:`build_network`, the way in for node and edge specs given by a caller,
+converts them to the same arrays. The mapping ``q``, the edge set ``edges``,
+the per-target grouping ``arc_starts`` and the type matrix ``type_onehot``
+are derived from the arcs and the node fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -312,13 +314,14 @@ def induced_subnetwork(net: NetworkModel, nodes: Iterable[int]) -> NetworkModel:
                         arc_dst=position[net.arc_dst[arcs]], arc_q=net.arc_q[arcs])
 
 
-def _seed_edges(n_init: int, topology: str) -> set[Edge]:
+def _seed_edges(n_init: int, topology: str) -> tuple[np.ndarray, np.ndarray]:
+    """The seed graph's edges, as the arrays of their two ends."""
     if topology == "complete":
-        return set(combinations(range(n_init), 2))
+        return np.triu_indices(n_init, 1)
     if topology == "star":
-        return {(0, i) for i in range(1, n_init)}
+        return np.zeros(n_init - 1, dtype=np.int64), np.arange(1, n_init)
     if topology == "path":
-        return {(i, i + 1) for i in range(n_init - 1)}
+        return np.arange(n_init - 1), np.arange(1, n_init)
     raise ValueError(f"unknown seed topology: {topology!r}")
 
 
@@ -344,34 +347,32 @@ def generate_ba(
     if n < n_init:
         raise ValueError("n must be >= n_init")
     rng = np.random.default_rng(rng_seed)
-    edges = _seed_edges(n_init, seed_topology)
-    degree = np.zeros(n, dtype=float)
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    for s in range(n_init, n):
-        chosen: list[int] = []
-        for _ in range(m_attach):
+    seed_u, seed_v = _seed_edges(n_init, seed_topology)
+    degree = np.bincount(np.concatenate((seed_u, seed_v)), minlength=n).astype(float)
+    # row s - n_init holds the nodes that node s attaches to
+    targets = np.empty((n - n_init, m_attach), dtype=np.int64)
+    for s, chosen in zip(range(n_init, n), targets):
+        for j in range(m_attach):
             w = degree[:s].copy()
-            w[chosen] = 0.0
+            w[chosen[:j]] = 0.0
             total = w.sum()
             if total > 0:
                 probs = w / total
             else:
                 # all remaining candidates isolated: fall back to uniform
                 probs = np.ones(s)
-                probs[chosen] = 0.0
+                probs[chosen[:j]] = 0.0
                 probs /= probs.sum()
             # the draw Generator.choice(s, p=probs) makes
             cdf = probs.cumsum()
             cdf /= cdf[-1]
-            chosen.append(int(cdf.searchsorted(rng.random(), side="right")))
-        for t in chosen:
-            edges.add((t, s))
-            degree[t] += 1
-            degree[s] += 1
-    node_specs = [(i, 0, 0.0) for i in range(n)]
-    return build_network(node_specs, edges)
+            chosen[j] = cdf.searchsorted(rng.random(), side="right")
+        degree[chosen] += 1
+        degree[s] += m_attach
+    u = np.concatenate((seed_u, targets.ravel()))
+    v = np.concatenate((seed_v, np.repeat(np.arange(n_init, n), m_attach)))
+    return _network(np.arange(n), np.zeros(n, dtype=np.int64), np.zeros(n), u, v,
+                    np.zeros(2 * u.size))
 
 
 def assign_types_by_degree(net: NetworkModel, top_k: int) -> NetworkModel:
@@ -415,15 +416,15 @@ def complete_network(
     type_sizes: Sequence[int], p: float, q: float
 ) -> NetworkModel:
     """Complete graph with homogeneous probabilities; types laid out in blocks."""
-    node_specs = []
-    node = 0
-    for t, size in enumerate(type_sizes):
-        if size <= 0:
-            raise ValueError("type sizes must be positive")
-        for _ in range(size):
-            node_specs.append((node, t, p))
-            node += 1
-    return build_network(node_specs, combinations(range(node), 2), q=q)
+    if any(size <= 0 for size in type_sizes):
+        raise ValueError("type sizes must be positive")
+    # operator.index refuses a size that is not an integer; np.repeat would
+    # truncate it
+    types = np.repeat(np.arange(len(type_sizes)), [operator.index(size) for size in type_sizes])
+    n = types.size
+    u, v = np.triu_indices(n, 1)
+    p, q = _floats([p, q])
+    return _network(np.arange(n), types, np.full(n, p), u, v, np.full(2 * u.size, q))
 
 
 def star_network(
@@ -442,16 +443,13 @@ def complete_bipartite_network(
     """Complete bipartite graph: nodes 0..n1-1 are type 0, the rest type 1."""
     if n1 < 1 or n2 < 1:
         raise ValueError("both sides must be nonempty")
-    node_specs = [(i, 0, p1) for i in range(n1)]
-    node_specs += [(n1 + j, 1, p2) for j in range(n2)]
-    edges = []
-    q = {}
-    for i in range(n1):
-        for j in range(n1, n1 + n2):
-            edges.append((i, j))
-            q[(i, j)] = q_1_to_2
-            q[(j, i)] = q_2_to_1
-    return build_network(node_specs, edges, q=q)
+    n1, n2 = operator.index(n1), operator.index(n2)
+    types = np.repeat([0, 1], [n1, n2])
+    # edge e joins node e // n2 of side 1 to node n1 + e % n2 of side 2, and
+    # its arc 2e runs from side 1 to side 2
+    u, v = np.divmod(np.arange(n1 * n2), n2)
+    return _network(np.arange(n1 + n2), types, _floats([p1, p2])[types], u, v + n1,
+                    np.tile(_floats([q_1_to_2, q_2_to_1]), n1 * n2))
 
 
 # The Python types of a JSON integer and of any JSON number; bool is left

@@ -9,6 +9,7 @@ tables contain overlapping patterns.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,7 +28,8 @@ __all__ = [
 ]
 
 _PRED_RE = re.compile(r"^(==|>=|<=)\s*(\d+)$")
-_COMPARE = {"==": np.equal, ">=": np.greater_equal, "<=": np.less_equal}
+# each predicate, for a count and for an array of counts alike
+_COMPARE = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
 
 
 @dataclass(frozen=True)
@@ -37,16 +39,7 @@ class CountPattern:
     predicates: tuple[tuple[str, int | None], ...]
 
     def matches(self, x: Sequence[int]) -> bool:
-        for (op, k), v in zip(self.predicates, x):
-            if op == "*":
-                continue
-            if op == "==" and v != k:
-                return False
-            if op == ">=" and v < k:
-                return False
-            if op == "<=" and v > k:
-                return False
-        return True
+        return all(op == "*" or _COMPARE[op](v, k) for (op, k), v in zip(self.predicates, x))
 
     @property
     def arity(self) -> int:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hoprisk import (
     assign_types_by_degree,
     build_network,
+    complete_bipartite_network,
     complete_network,
     generate_ba,
     induced_subnetwork,
@@ -349,6 +350,7 @@ def test_network_keeps_read_only_copies_of_the_node_arrays(example_net):
     ((120, 1, 1, 3, "path"), False,
      "12d7affe5dacdf6f6ef55617eec898f914b086585b007985e178eabf465c1137"),
     ((60, 2, 5, 42), False, "c4e38f8806eca0924bb1f27b9d75f61378080c52b43b9e5eb9c7f97179d7b2e5"),
+    ((2000, 2, 5, 1), False, "5608f9daa71dad715fb49d95f728d84266b4eb43a6cea0e2de9308c1cb6a11fc"),
 ])
 def test_the_seed_to_network_mapping_and_json_bytes_are_pinned(tmp_path, args, typed, digest):
     net = generate_ba(*args)
@@ -357,6 +359,37 @@ def test_the_seed_to_network_mapping_and_json_bytes_are_pinned(tmp_path, args, t
     path = tmp_path / "net.json"
     assert save_json(net, str(path)) == "sha256:" + digest
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build, args, digest", [
+    (complete_network, ([2, 3], 0.2, 0.1),
+     "343b1abd515c399b38193da60b97b6e9948c89f3956e8e5dd89b3adb4da8267b"),
+    (complete_network, ([20, 180], 0.05, 0.01),
+     "1b06c30172c83c2c9fc2b4a800bbde6cea9adb8e59039083d6a4a4557ad0b7bd"),
+    (complete_bipartite_network, (20, 180, 0.05, 0.15, 0.2, 0.3),
+     "3523e9d81f4dec55d3851c6af52eeb322edcd8eb40b347cc5fd7b611478d097e"),
+    (star_network, (50, 0.05, 0.15, 0.2, 0.3),
+     "f21864c75cceaef6d4208568828ba8fab7ea12b73e42ecdbf7293e13abee446e"),
+])
+def test_the_paper_topologies_json_bytes_are_pinned(tmp_path, build, args, digest):
+    assert save_json(build(*args), str(tmp_path / "net.json")) == "sha256:" + digest
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (complete_network, ([], 0.1, 0.1), "network must have at least one node"),
+    (complete_network, ([2, 0], 0.1, 0.1), "type sizes must be positive"),
+    (complete_network, ([2, 3], 1.5, 0.1), "p for node 0 out of [0, 1]: 1.5"),
+    (complete_network, ([2, 3], 0.1, -1), "q for (0, 1) out of [0, 1]: -1.0"),
+    (complete_network, ([2, 3], None, 0.1), "p for node 0 out of [0, 1]: nan"),
+    (complete_bipartite_network, (2, 3, 0.1, 2, 0.1, 0.1), "p for node 2 out of [0, 1]: 2.0"),
+    (complete_bipartite_network, (2, 3, 0.1, 0.1, 0.1, 2), "q for (2, 0) out of [0, 1]: 2.0"),
+    (star_network, (3, 0.1, 0.1, 0.1, float("nan")), "q for (1, 0) out of [0, 1]: nan"),
+    (generate_ba, (10, 2, 3, 0, "ring"), "unknown seed topology: 'ring'"),
+])
+def test_builders_refuse_bad_arguments_naming_the_first_offender(build, args, message):
+    with pytest.raises(ValueError) as exc:
+        build(*args)
+    assert str(exc.value) == message
 
 
 def test_range_errors_name_the_first_offending_node_or_pair():
