@@ -18,13 +18,15 @@ multiply-adds in all.
 
 Everything a round needs of the network but not of the mass is its plan:
 the chunk layout, the target cells and each chunk's hit-probability
-factors, built once from the network's arcs. A round is then one broadcast
-multiply, one matrix product and one scatter per chunk. The plan of the
-network solved last is kept, through a weak reference to that network, for
-separate calls on it at any depth, so at most one plan is held and it goes
-with its network. The arrays, the stored factors included, are checked
-against a fixed cell budget before allocating; that budget is the only
-limit, and it refuses networks above 14 nodes with
+factors, built once from the network's arcs. The factors are products over
+subsets, built in place by doubling one node at a time, and a chunk's
+target cells come from one exact float64 product of bit tables. A round is
+then one broadcast multiply, one matrix product and one scatter per chunk.
+The plan of the network solved last is kept, through a weak reference to
+that network, for separate calls on it at any depth, so at most one plan is
+held and it goes with its network. The arrays, the stored factors included,
+are checked against a fixed cell budget before allocating; that budget is
+the only limit, and it refuses networks above 14 nodes with
 :class:`ExactEngineCapError`. From 13 nodes on, the factors of the chunks
 past the budget are computed in each round instead. A held plan takes the
 stored factors plus at most 3^N + (N(N - 1)/4 + N + 3) 2^N cells for the
@@ -105,18 +107,26 @@ def _chunk_size(n: int) -> tuple[int, int]:
 
 def _subset_sums(values: Sequence[int]) -> np.ndarray:
     """``out[mask]`` = sum of ``values[i]`` over the bits i of ``mask``."""
-    out = np.zeros(1, dtype=np.int64)
-    for v in values:
-        out = np.concatenate([out, out + v])
+    out = np.zeros(1 << len(values), dtype=np.int64)
+    for i, v in enumerate(values):
+        w = 1 << i
+        np.add(out[:w], v, out=out[w : 2 * w])
     return out
 
 
-def _outcomes(miss: np.ndarray) -> np.ndarray:
-    """``out[s, b, f]`` = probability that front f of C_b hits exactly the
-    set s of the nodes that ``miss[:, b, f]`` stands for (bit t for node t)."""
-    out = np.ones((1,) + miss.shape[1:])
-    for mt in miss:
-        out = np.concatenate([out * mt, out * (1.0 - mt)])
+def _outcomes(hit: np.ndarray, miss: np.ndarray) -> np.ndarray:
+    """``out[s]`` = probability of exactly the hit set s (bit t for node t)
+    of independent nodes, node t hit with probability ``hit[t]`` and missed
+    with ``miss[t]``, both arrays of any shape past axis 0.
+
+    Built in place by doubling: the sets with bit t take the sets below 2^t
+    times the hit on node t, then the sets below 2^t take its miss."""
+    out = np.empty((1 << len(miss),) + miss.shape[1:])
+    out[0] = 1.0
+    for t in range(len(miss)):
+        w = 1 << t
+        np.multiply(out[:w], hit[t], out=out[w : 2 * w])
+        out[:w] *= miss[t]
     return out
 
 
@@ -129,14 +139,17 @@ def _factors(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``high[b, s, f]``, the probabilities of each hit set s of either half.
     """
     b, k, m = keep.shape
-    # miss[t, b, f]: front f of C_b misses the t-th intact node
-    miss = np.ones((1, b, m))
+    # miss[t, b, f]: front f of C_b misses the t-th intact node, doubled in
+    # place along f as _outcomes doubles along s
+    miss = np.empty((m, b, 1 << k))
+    miss[..., 0] = 1.0
     for r in range(k):
-        miss = np.concatenate([miss, miss * keep[:, r]])
-    miss = np.ascontiguousarray(miss.transpose(2, 1, 0))
+        w = 1 << r
+        np.multiply(miss[..., :w], keep[:, r].T[..., None], out=miss[..., w : 2 * w])
+    hit = 1.0 - miss
     half = m // 2
-    high = _outcomes(miss[half:]).transpose(1, 0, 2)
-    return _outcomes(miss[:half]), high
+    high = _outcomes(hit[half:], miss[half:]).transpose(1, 0, 2)
+    return _outcomes(hit[:half], miss[:half]), high
 
 
 def _round(mass: np.ndarray, factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -154,18 +167,18 @@ def _round(mass: np.ndarray, factors: tuple[np.ndarray, np.ndarray]) -> np.ndarr
 class _Layout:
     """The cells of an n-node run, the same for every n-node network.
 
-    ``order`` lists the masks C by size and then by mask, ``offset[C]`` is
-    the first cell of C's block and ``full[C]`` the cell of (C, C). Each
-    chunk of same-size C is ``(lo, hi, target, inside, outside)``: its cell
-    range; the cell ``target[b, s]`` of (C_b | S, S), where bit t of s stands
-    for the t-th intact node of C_b; and the nodes of C_b and its intact
-    nodes, shaped to index the (from, to) pairs between them. ``store`` is
-    the cells left for stored factors.
+    ``order`` lists the masks C by size and then by mask, ``starts[i]`` is
+    the first cell of the block of ``order[i]`` (where a read-out sums) and
+    ``full[C]`` the cell of (C, C). Each chunk of same-size C is ``(lo, hi,
+    target, inside, outside)``: its cell range; the cell ``target[b, s]`` of
+    (C_b | S, S), where bit t of s stands for the t-th intact node of C_b;
+    and the nodes of C_b and its intact nodes, shaped to index the (from, to)
+    pairs between them. ``store`` is the cells left for stored factors.
     """
 
     n: int
     order: np.ndarray
-    offset: np.ndarray
+    starts: np.ndarray
     full: np.ndarray
     chunks: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]
     store: int
@@ -178,23 +191,31 @@ def _layout(n: int) -> _Layout:
     blocks = 1 << sizes
     offset = np.empty(1 << n, dtype=np.int64)
     offset[order] = np.cumsum(blocks[order]) - blocks[order]
+    # tables[0, t, s] is bit t of the hit set s, and tables[1, t, s] that bit
+    # times 2^(bits of s below t)
+    t = np.arange(n)
+    masks = np.arange(1 << n)
+    bits = masks >> t[:, None] & 1
+    tables = np.stack([bits, bits << sizes[(1 << t[:, None]) - 1 & masks]]).astype(float)
+    pow2, shift = (1 << t).astype(float), np.stack([0 * t, t])[:, None, :]
     chunks = []
     for k, group in enumerate(np.split(order, np.cumsum(np.bincount(sizes))[:-1])):
+        m = n - k
         for lo in range(0, len(group), chunk):
             cm = group[lo : lo + chunk, None]
             first = int(offset[cm[0, 0]])
-            nodes = np.argsort(1 - ((cm >> np.arange(n)) & 1), axis=1, kind="stable")
+            nodes = np.argsort(1 - ((cm >> t) & 1), axis=1, kind="stable")
             outs = nodes[:, k:]
-            # in C | S, the t-th intact node o has o - t nodes of C below it,
-            # plus the nodes of S among the intact nodes before it
-            rank = np.zeros_like(cm)
-            for t in range(n - k):
-                o = outs[:, t, None]
-                rank = np.concatenate([rank, rank + (1 << (o - t + sizes[: 1 << t]))], axis=1)
-                cm = np.concatenate([cm, cm | (1 << o)], axis=1)
+            # with o the t-th intact node, S sums 2^o times bit t of s; in
+            # C | S, o has o - t nodes of C below it plus the bits of s below
+            # t, so the rank of S there sums 2^(o - t) times tables[1, t, s].
+            # Both sum distinct powers of two below 2^n: the float64 products
+            # are exact
+            hit, rank = (pow2[outs - shift[..., :m]] @ tables[:, :m, : 1 << m]).astype(np.int64)
+            target = offset[cm | hit] + rank
             inside, outside = nodes[:, :k, None], outs[:, None, :]
-            chunks.append((first, first + (len(cm) << k), offset[cm] + rank, inside, outside))
-    return _Layout(n, order, offset, offset + blocks - 1, chunks, store)
+            chunks.append((first, first + (len(target) << k), target, inside, outside))
+    return _Layout(n, order, offset[order], offset + blocks - 1, chunks, store)
 
 
 def _chunk_factors(net: NetworkModel, layout: _Layout) -> list[tuple | np.ndarray]:
@@ -239,7 +260,7 @@ def _plan(net: NetworkModel) -> tuple[_Layout, list]:
     if layout is None:
         layout = _layout(net.n_nodes)
     factors = _chunk_factors(net, layout)
-    arrays = [layout.order, layout.offset, layout.full]
+    arrays = [layout.order, layout.starts, layout.full]
     for chunk, factor in zip(layout.chunks, factors):
         arrays += chunk[2:] + (factor if isinstance(factor, tuple) else (factor,))
     _last = (weakref.ref(net, _forget), layout, factors, sum(a.size for a in arrays))
@@ -271,10 +292,7 @@ def _set_probs(net: NetworkModel, depths: Iterable[int]) -> Iterator[np.ndarray]
     n = net.n_nodes
     layout, factors = _plan(net)
     state = np.zeros(3**n)
-    direct = np.ones(1)
-    for pi in net.p:
-        direct = np.concatenate([direct * (1.0 - pi), direct * pi])
-    state[layout.full] = direct
+    state[layout.full] = _outcomes(net.p, 1.0 - net.p)
     played = 0
     for depth in depths:
         for _ in range(played, min(depth, n)):
@@ -286,7 +304,7 @@ def _set_probs(net: NetworkModel, depths: Iterable[int]) -> Iterator[np.ndarray]
             state = nxt
         played = min(depth, n)
         out = np.empty(1 << n)
-        out[layout.order] = np.add.reduceat(state, layout.offset[layout.order])
+        out[layout.order] = np.add.reduceat(state, layout.starts)
         yield out
 
 

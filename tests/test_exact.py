@@ -12,16 +12,19 @@ from hoprisk import (
     CompleteHomogParams,
     ExactEngineCapError,
     TwoClassParams,
+    assign_types_by_degree,
     bipartite_pmf,
     build_network,
     complete_homog_pmf,
     complete_network,
     event_prob,
+    generate_ba,
     induced_subnetwork,
     joint_pmf,
     one_hop_prob,
     r_prob,
     save_json,
+    with_type_probabilities,
 )
 from hoprisk.cli import _parser, main
 from hoprisk.stats import check_orthant_monotone, correlations
@@ -136,6 +139,27 @@ def test_joint_pmf_reproduces_reference_grids(example_net):
     assert pmf4.marginal(1)[3] == pytest.approx(0.0565, abs=5e-5)
 
 
+def _typed_ba(n, seed):
+    """The network ``hoprisk generate ba --nodes n --attach 2 --init 3
+    --top-k 3 --p 0.05,0.15 --q 0.2,0.3 --seed seed`` writes."""
+    net = assign_types_by_degree(generate_ba(n, 2, 3, seed), 3)
+    return with_type_probabilities(net, [0.05, 0.15], [0.2, 0.3])
+
+
+@pytest.mark.parametrize("build, depth, digest", [
+    (lambda: _typed_ba(7, 9), 1, "5a33672f30c6c82405661b14e53a5640377c0e1f223817084811d9eb22b4f352"),
+    (lambda: _typed_ba(7, 9), 2, "4f70c3a3d63e5ef7f79d1ab7fe795a6ac7ac3fa045554b43aa6954a0e29a53d4"),
+    (lambda: _typed_ba(7, 9), 3, "7a95aba6b075495bc014c10130a80e1c5ba6c0c9fcb178311fca883f6e9a98be"),
+    (lambda: complete_network([2, 3], 0.2, 0.1), 4,
+     "5997e1a623acd70be86512ebb4a73723a038a1201ede0d59080862c5a3683478"),
+    (lambda: _typed_ba(12, 4), 2, "ebbc9f371bf08248150c7dc8d702a6ccddeb3b6535f54d37a49ebee33b6300ee"),
+    # 13 nodes: the factors of some chunks are computed in each round
+    (lambda: _typed_ba(13, 5), 2, "9f7a42937201602b1753c1bf5ea91eafb80dfeda0f5ef75ff8b5d441d7069261"),
+])
+def test_joint_pmf_csv_bytes_are_pinned(tmp_path, build, depth, digest):
+    assert joint_pmf(build(), depth).to_csv(str(tmp_path / "pmf.csv")) == "sha256:" + digest
+
+
 def test_joint_pmf_no_propagation_is_binomial_product():
     net = complete_network([2, 3], 0.3, 0.0)
     pmf = joint_pmf(net, 4)
@@ -238,6 +262,47 @@ def test_oversized_network_refused_before_allocating(tmp_path, capsys):
     assert status == 1 and "simulate" in capsys.readouterr().err
     # the state alone would be 3^20 doubles, about 26 GiB
     assert max(peaks) < 1 << 16
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_layout_targets_every_cell_once_and_where_counting_puts_it(monkeypatch, n, chunk):
+    if chunk is not None:  # split each size of C over several chunks
+        monkeypatch.setattr(exact_engine, "_chunk_size", lambda size: (chunk, 0))
+    layout = exact_engine._layout(n)
+    # C's block follows the blocks of every C' before it, by size and then
+    # by mask; F's bits are renumbered by their rank in C
+    order = sorted(range(1 << n), key=lambda c: (bin(c).count("1"), c))
+    firsts, total = {}, 0
+    for c in order:
+        firsts[c], total = total, total + (1 << bin(c).count("1"))
+
+    def cell(c, f):
+        members = [v for v in range(n) if c >> v & 1]
+        return firsts[c] + sum(1 << r for r, v in enumerate(members) if f >> v & 1)
+
+    assert layout.order.tolist() == order
+    assert layout.starts.tolist() == [firsts[c] for c in order]
+    assert layout.full.tolist() == [cell(c, c) for c in range(1 << n)]
+    seen = np.zeros(3**n, dtype=np.int64)
+    cells = 0
+    for lo, hi, target, inside, outside in layout.chunks:
+        k = inside.shape[1]
+        assert lo == cells and hi - lo == len(target) << k
+        cells = hi
+        for b, (ins, outs) in enumerate(zip(inside[:, :, 0].tolist(), outside[:, 0, :].tolist())):
+            c = sum(1 << v for v in ins)
+            assert firsts[c] == lo + (b << k)
+            assert ins == [v for v in range(n) if c >> v & 1]
+            assert outs == [v for v in range(n) if not c >> v & 1]
+            # bit t of s stands for the t-th intact node
+            want = []
+            for s in range(1 << len(outs)):
+                hit = sum(1 << o for t, o in enumerate(outs) if s >> t & 1)
+                want.append(cell(c | hit, hit))
+            assert target[b].tolist() == want
+        np.add.at(seen, target.ravel(), 1)
+    assert cells == 3**n and (seen == 1).all()
 
 
 def test_joint_pmfs_match_joint_pmf_bit_for_bit():
