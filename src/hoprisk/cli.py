@@ -3,8 +3,10 @@
 Every command is a pure function of its inputs, flags, and seed; a JSON
 manifest recording the command, parameters, seed, and output digests is
 written next to each output file. Each ``cmd_*`` writes its outputs, hashing
-the bytes as it writes them, and returns the inputs, parameters and output
-digests of its manifest, which ``main`` writes.
+the bytes as it writes them, and returns the digest of each; ``main`` then
+writes the manifest, which is the parsed command line: the arguments that
+name input files are its inputs and every other argument is a parameter.
+``order-check`` writes a manifest only with ``--out``.
 """
 
 from __future__ import annotations
@@ -36,26 +38,23 @@ from .stats import _depth_correlations, _depth_moments, check_orthant_monotone, 
 
 PROG = "hoprisk"
 
-# a command's manifest: its input files, its parameters and the digest of
-# each output file
-Manifest = tuple[dict[str, str], dict, dict[str, str]]
+# the arguments that name input files; every argument but these and the
+# ones below is a parameter of the manifest
+_INPUTS = ("network", "input", "pmf", "rules")
+_NOT_PARAMETERS = ("command", "func", "out")
 
 
-def _write_manifest(
-    anchor: str,
-    command: str,
-    inputs: dict[str, str],
-    parameters: dict,
-    outputs: dict[str, str],
-) -> None:
+def _write_manifest(args: argparse.Namespace, outputs: dict[str, str]) -> None:
+    given = vars(args)
     doc = {
-        "command": command,
-        "inputs": inputs,
-        "parameters": parameters,
+        "command": args.command,
+        "inputs": {name: value for name, value in given.items() if name in _INPUTS},
+        "parameters": {"seed": None} | {name: value for name, value in given.items()
+                                        if name not in _INPUTS + _NOT_PARAMETERS},
         "outputs": outputs,
         "tool_version": __version__,
     }
-    _write_bytes(anchor + ".manifest.json",
+    _write_bytes(args.out + ".manifest.json",
                  [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
@@ -75,27 +74,23 @@ def _parse_prob_list(raw: str, label: str) -> list[float]:
     return vals
 
 
-def cmd_exact(args: argparse.Namespace) -> Manifest:
-    net = load_json(args.network)
-    pmf = joint_pmf(net, args.depth)
-    outputs = {args.out: pmf.to_csv(args.out)}
-    return {"network": args.network}, {"depth": args.depth, "seed": None}, outputs
+def cmd_exact(args: argparse.Namespace) -> dict[str, str]:
+    pmf = joint_pmf(load_json(args.network), args.depth)
+    return {args.out: pmf.to_csv(args.out)}
 
 
-def cmd_simulate(args: argparse.Namespace) -> Manifest:
+def cmd_simulate(args: argparse.Namespace) -> dict[str, str]:
     net = load_json(args.network)
-    seed = _resolve_seed(args.seed)
-    samples = simulate_runs(net, args.depth, args.runs, seed)
-    outputs = {args.out: samples.to_csv(args.out)}
-    parameters = {"depth": args.depth, "runs": args.runs, "seed": seed, "stream": STREAM}
-    return {"network": args.network}, parameters, outputs
+    args.seed = _resolve_seed(args.seed)
+    samples = simulate_runs(net, args.depth, args.runs, args.seed)
+    return {args.out: samples.to_csv(args.out)}
 
 
 def _fmt(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.17g}"
 
 
-def cmd_stats(args: argparse.Namespace) -> Manifest:
+def cmd_stats(args: argparse.Namespace) -> dict[str, str]:
     # the header tells the two kinds apart; the input is opened once
     with open(args.input, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -134,44 +129,31 @@ def cmd_stats(args: argparse.Namespace) -> Manifest:
             contour_path = args.out + ".contour.csv"
             outputs[contour_path] = _write_table(contour_path, ["x1", "x2", "prob"],
                                                  ["%d", "%d", "%.17g"], source._table())
-    return {"input": args.input}, {"seed": None}, outputs
+    return outputs
 
 
-def cmd_score(args: argparse.Namespace) -> Manifest:
+def cmd_score(args: argparse.Namespace) -> dict[str, str]:
     pmf = JointPmf.from_csv(args.pmf)
     with open(args.rules, "r", encoding="utf-8") as fh:
         rules = parse_rules(fh.read())
     dist = score_distribution(rules, pmf)
-    outputs = {args.out: _write_table(args.out, ["score", "prob"], ["%d", "%.17g"],
-                                      list(dist.items()))}
-    return {"pmf": args.pmf, "rules": args.rules}, {"seed": None}, outputs
+    return {args.out: _write_table(args.out, ["score", "prob"], ["%d", "%.17g"],
+                                   list(dist.items()))}
 
 
-def cmd_generate(args: argparse.Namespace) -> Manifest:
-    seed = _resolve_seed(args.seed)
-    net = generate_ba(args.nodes, args.attach, args.init, seed, args.seed_topology)
+def cmd_generate(args: argparse.Namespace) -> dict[str, str]:
+    args.seed = _resolve_seed(args.seed)
+    net = generate_ba(args.nodes, args.attach, args.init, args.seed, args.seed_topology)
     if args.top_k is not None:
         net = assign_types_by_degree(net, args.top_k)
     if args.p is not None or args.q is not None:
         p_by_type = _parse_prob_list(args.p, "--p") if args.p else [0.0] * net.num_types
         q_by_type = _parse_prob_list(args.q, "--q") if args.q else [0.0] * net.num_types
         net = with_type_probabilities(net, p_by_type, q_by_type)
-    outputs = {args.out: save_json(net, args.out)}
-    parameters = {
-        "model": "ba",
-        "nodes": args.nodes,
-        "attach": args.attach,
-        "init": args.init,
-        "seed_topology": args.seed_topology,
-        "top_k": args.top_k,
-        "p": args.p,
-        "q": args.q,
-        "seed": seed,
-    }
-    return {}, parameters, outputs
+    return {args.out: save_json(net, args.out)}
 
 
-def cmd_order_check(args: argparse.Namespace) -> Manifest | None:
+def cmd_order_check(args: argparse.Namespace) -> dict[str, str] | None:
     scales = {k: v for k, v in (("p", args.p_scale), ("q", args.q_scale)) if v is not None}
     for name, scale in scales.items():
         if not (math.isfinite(scale) and scale >= 0.0):
@@ -206,18 +188,7 @@ def cmd_order_check(args: argparse.Namespace) -> Manifest | None:
         reports = [check_orthant_monotone(lo, hi, args.tol, claim)]
     text = "\n".join(report.summary() for report in reports) + "\n"
     sys.stdout.write(text)
-    if not args.out:
-        return None
-    outputs = {args.out: _write_bytes(args.out, [text.encode()])}
-    parameters = {
-        "depths": args.depths,
-        "depth": args.depth,
-        "p_scale": args.p_scale,
-        "q_scale": args.q_scale,
-        "tol": args.tol,
-        "seed": None,
-    }
-    return {"network": args.network}, parameters, outputs
+    return {args.out: _write_bytes(args.out, [text.encode()])} if args.out else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="master seed; drawn from entropy (and echoed) if omitted")
     p_sim.add_argument("--out", required=True)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, stream=STREAM)
 
     p_stats = sub.add_parser("stats", help="moments/correlations of samples or a PMF")
     p_stats.add_argument("--in", dest="input", required=True,
@@ -296,9 +267,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        manifest = args.func(args)
-        if manifest is not None:
-            _write_manifest(args.out, args.command, *manifest)
+        outputs = args.func(args)
+        if outputs is not None:
+            _write_manifest(args, outputs)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

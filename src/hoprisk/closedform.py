@@ -29,6 +29,7 @@ budget before anything is allocated; networks above it raise
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -59,6 +60,9 @@ class CompleteHomogParams:
     def __post_init__(self) -> None:
         if not self.type_sizes or min(self.type_sizes) <= 0:
             raise ValueError("type sizes must be positive")
+        # operator.index refuses a size that is not an integer
+        for size in self.type_sizes:
+            operator.index(size)
         if not 0.0 <= self.p <= 1.0 or not 0.0 <= self.q <= 1.0:
             raise ValueError("p and q must be in [0, 1]")
         if self.depth < 1:
@@ -226,6 +230,7 @@ def r_complete(u: int, c: int, d: int, depth: int, *, q: float) -> float:
     """
     if not 0 <= d <= c <= u:
         raise ValueError(f"need 0 <= d <= c <= u, got d={d}, c={c}, u={u}")
+    u, c, d = (operator.index(size) for size in (u, c, d))
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not 0.0 <= q <= 1.0:
@@ -275,6 +280,7 @@ def bipartite_pmf(
         raise ValueError("both sides must be nonempty")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    n1, n2 = operator.index(n1), operator.index(n2)
     starts = [_binom_start(n1, params.p1), _binom_start(n2, params.p2)]
     q = ((0.0, params.q12), (params.q21, 0.0))
     return JointPmf((n1 + 1, n2 + 1), _chain_binomial((n1, n2), starts, q, depth))

@@ -146,11 +146,6 @@ def score_vector(rules: ScoreRuleSet, x: Sequence[int]) -> int:
 
 def score_distribution(rules: ScoreRuleSet, pmf: JointPmf) -> dict[int, float]:
     """Pushforward of a count PMF through the rule set: score -> probability."""
-    if rules.rules and rules.arity != pmf.num_types:
-        raise ValueError(
-            f"patterns have {rules.arity} coordinates but the PMF has "
-            f"{pmf.num_types} types"
-        )
     _check_bounds(rules, pmf.type_sizes)
     # each cell's score, as a code into the sorted distinct scores: the
     # rules are laid down last to first, so the first match wins

@@ -214,6 +214,17 @@ def _refused_with_one_error_line(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_score_refuses_rules_of_another_arity(tmp_path, k5_path, capsys):
+    pmf_path, out = tmp_path / "pmf.csv", tmp_path / "scores.csv"
+    assert main(["exact", "--network", k5_path, "-L", "1", "--out", str(pmf_path)]) == 0
+    rules = tmp_path / "rules.json"
+    rules.write_text('{"default": 0, "rules": [{"pattern": [">=1"], "score": 2}]}')
+    _refused_with_one_error_line(["score", "--pmf", str(pmf_path), "--rules", str(rules),
+                                  "--out", str(out)], capsys)
+    assert not out.exists()
+    assert not (tmp_path / "scores.csv.manifest.json").exists()
+
+
 def test_json_nested_too_deeply_is_refused(tmp_path, k5_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
@@ -430,3 +441,55 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, k5_path):
     fresh = run(str(tmp_path / "fresh"), in_process=False)
     assert run(str(tmp_path / "first"), in_process=True) == fresh
     assert run(str(tmp_path / "again"), in_process=True) == fresh
+
+
+# every manifest, pinned: its command, its input files and one parameter
+# for each other argument of the command line
+_BA = {"model": "ba", "nodes": 12, "attach": 2, "init": 3, "seed": 4,
+       "seed_topology": "complete", "top_k": None, "p": None, "q": None}
+_ORDER = {"depths": None, "depth": None, "p_scale": None, "q_scale": None, "tol": 1e-12,
+          "seed": None}
+_RULES_2 = '{"default": 1, "rules": [{"pattern": ["==0", "==0"], "score": 0}]}'
+
+
+@pytest.mark.parametrize("argv, inputs, parameters", [
+    ("exact --network k5.json -L 2 --out e.csv", {"network": "k5.json"},
+     {"depth": 2, "seed": None}),
+    ("simulate --network k5.json -L 4 -K 130 --seed 7 --out s.csv", {"network": "k5.json"},
+     {"depth": 4, "runs": 130, "seed": 7, "stream": "philox4x64-slots-v1"}),
+    ("stats --in samples.csv --out st", {"input": "samples.csv"}, {"seed": None}),
+    ("stats --in pmf.csv --out pst", {"input": "pmf.csv"}, {"seed": None}),
+    ("score --pmf pmf.csv --rules rules.json --out sc.csv",
+     {"pmf": "pmf.csv", "rules": "rules.json"}, {"seed": None}),
+    ("generate ba --nodes 12 --attach 2 --init 3 --seed 4 --out ba.json", {}, _BA),
+    ("generate ba --nodes 12 --attach 2 --init 3 --top-k 3 --p 0.1,0.2 --q 0.3,0.4 "
+     "--seed-topology path --seed 4 --out ba.json", {},
+     {**_BA, "top_k": 3, "p": "0.1,0.2", "q": "0.3,0.4", "seed_topology": "path"}),
+    ("order-check --network k5.json --depths 1 2 3 --out o.txt", {"network": "k5.json"},
+     {**_ORDER, "depths": [1, 2, 3]}),
+    ("order-check --network k5.json -L 2 --p-scale 1.5 --out o.txt", {"network": "k5.json"},
+     {**_ORDER, "depth": 2, "p_scale": 1.5}),
+])
+def test_each_manifest_records_the_command_line(tmp_path, example_net, monkeypatch,
+                                                argv, inputs, parameters):
+    monkeypatch.chdir(tmp_path)
+    save_json(example_net, "k5.json")
+    (tmp_path / "rules.json").write_text(_RULES_2)
+    assert main(["exact", "--network", "k5.json", "-L", "1", "--out", "pmf.csv"]) == 0
+    assert main(["simulate", "--network", "k5.json", "-L", "2", "-K", "30", "--seed", "1",
+                 "--out", "samples.csv"]) == 0
+    argv = argv.split()
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / (argv[-1] + ".manifest.json")).read_text())
+    assert set(manifest) == {"command", "inputs", "parameters", "outputs", "tool_version"}
+    assert manifest["command"] == argv[0]
+    assert manifest["inputs"] == inputs
+    assert manifest["parameters"] == parameters
+
+
+def test_order_check_without_out_writes_no_manifest(tmp_path, example_net, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_json(example_net, "k5.json")
+    assert main(["order-check", "--network", "k5.json", "--depths", "1", "2"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path)) == ["k5.json"]

@@ -348,3 +348,18 @@ def test_binom_start_matches_the_trial_recurrence(n):
 def test_binom_start_point_masses(n):
     assert np.array_equal(_binom_start(n, 0.0), np.eye(n + 1)[0])
     assert np.array_equal(_binom_start(n, 1.0), np.eye(n + 1)[n])
+
+
+_TWO = TwoClassParams(0.1, 0.2, 0.3, 0.4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bipartite_pmf(_TWO, 2.5, 3),
+    lambda: star_pmf(_TWO, 5.0, 1),
+    lambda: complete_homog_pmf(CompleteHomogParams((2.5, 3), 0.1, 0.2, 1)),
+    lambda: r_complete(5.0, 3, 1, 2, q=0.3),
+])
+def test_sizes_that_are_not_integers_are_refused(call):
+    # as the network builders refuse them, not deep inside the engine
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        call()

@@ -147,6 +147,14 @@ def test_distribution_dimension_mismatch(table_rules):
         score_distribution(table_rules, JointPmf((3, 4), probs))
 
 
+def test_distribution_refuses_rules_of_another_arity():
+    rules = parse_rules('{"default": 0, "rules": [{"pattern": [">=1"], "score": 2}]}')
+    probs = np.zeros((2, 3))
+    probs[1, 2] = 1.0
+    with pytest.raises(ValueError, match="^patterns have 1 coordinates but there are 2 types$"):
+        score_distribution(rules, JointPmf((2, 3), probs))
+
+
 def test_distribution_sums_to_one(table_rules):
     net = complete_network([5, 2, 1], 0.25, 0.15)
     pmf = joint_pmf(net, 2)
