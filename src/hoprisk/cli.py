@@ -59,11 +59,12 @@ def _write_manifest(args: argparse.Namespace, outputs: dict[str, str]) -> None:
 
 
 def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    drawn = secrets.randbits(63)
-    print(f"seed: {drawn}", file=sys.stderr)
-    return drawn
+    if seed is None:
+        seed = secrets.randbits(63)
+        print(f"seed: {seed}", file=sys.stderr)
+    elif seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+    return seed
 
 
 def _parse_prob_list(raw: str, label: str) -> list[float]:

@@ -31,8 +31,9 @@ the only limit, and it refuses networks above 14 nodes with
 past the budget are computed in each round instead. A held plan takes the
 stored factors plus at most 3^N + (N(N - 1)/4 + N + 3) 2^N cells for the
 layout and the 1 - q arrays of the other chunks. The lumped engine in
-closedform and the table of stats.correlations share the budget: they, too,
-reserve their cells with _reserve, which drops the plan to make room.
+closedform and the table of stats.correlations share the budget through
+_reserve and its one rule: a request above the budget is refused, and any
+other request drops the held plan.
 """
 
 from __future__ import annotations
@@ -236,9 +237,9 @@ def _chunk_factors(net: NetworkModel, layout: _Layout) -> list[tuple | np.ndarra
     return factors
 
 
-# the network solved last, its layout, its chunks' factors and the cells
-# they take; dropped together with that network
-_last: tuple[weakref.ref, _Layout, list, int] | None = None
+# the network solved last, its layout and its chunks' factors; dropped
+# together with that network
+_last: tuple[weakref.ref, _Layout, list] | None = None
 
 
 def _forget(ref: weakref.ref) -> None:
@@ -260,10 +261,7 @@ def _plan(net: NetworkModel) -> tuple[_Layout, list]:
     if layout is None:
         layout = _layout(net.n_nodes)
     factors = _chunk_factors(net, layout)
-    arrays = [layout.order, layout.starts, layout.full]
-    for chunk, factor in zip(layout.chunks, factors):
-        arrays += chunk[2:] + (factor if isinstance(factor, tuple) else (factor,))
-    _last = (weakref.ref(net, _forget), layout, factors, sum(a.size for a in arrays))
+    _last = (weakref.ref(net, _forget), layout, factors)
     return layout, factors
 
 
@@ -271,8 +269,8 @@ def _reserve(
     cells: int, what: str, advice: str = "; use the `simulate` command / simulate_runs() instead"
 ) -> None:
     """Before allocating ``cells`` cells: refuse them, naming ``what`` needs
-    them, if they are above the budget, and otherwise drop the held plan if
-    it and they would not fit in the budget together."""
+    them, if they are above the budget, and otherwise drop the held plan, so
+    that it never sits beside them."""
     global _last
     if cells > _MAX_CELLS:
         # an N-node exact engine asks for about 3^N cells, thousands of digits
@@ -281,8 +279,7 @@ def _reserve(
         raise ExactEngineCapError(
             f"{what} need {amount} cells, above the budget of {_MAX_CELLS}{advice}"
         )
-    if _last is not None and _last[3] + cells > _MAX_CELLS:
-        _last = None
+    _last = None
 
 
 def _set_probs(net: NetworkModel, depths: Iterable[int]) -> Iterator[np.ndarray]:

@@ -69,7 +69,7 @@ class NetworkModel:
     once, as read-only arrays of its directed arcs, one each way on every
     edge and sorted by (target, source): arc e runs from node position
     ``arc_src[e]`` to ``arc_dst[e]`` with attempt probability ``arc_q[e]``.
-    ``q``, ``edges``, :meth:`degree` and ``arc_starts`` derive from them.
+    ``q``, ``edges`` and ``arc_starts`` derive from them.
     The node fields are read-only arrays too: node i has id ``node_ids[i]``,
     type ``types[i]`` and direct probability ``p[i]``. Two networks are equal
     when their ``num_types`` and these six arrays are.
@@ -134,9 +134,6 @@ class NetworkModel:
         """``type_onehot[i, t]`` is 1.0 when node position i has type t,
         else 0.0."""
         return _read_only(np.eye(self.num_types)[self.types])
-
-    def degree(self, node: int) -> int:
-        return int(np.count_nonzero(self.arc_src == self.index_of[node]))
 
 
 def _probability(x: float) -> float:
@@ -472,6 +469,9 @@ def load_json(path: str) -> NetworkModel:
         raise ValueError(f"{path}: missing 'nodes' key")
     if "edges" not in doc:
         raise ValueError(f"{path}: missing 'edges' key")
+    for key in ("nodes", "edges"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{path}: {key!r} must be a list")
     try:
         # one entry at a time, so the first malformed one is named
         node_rows = [(node["id"], node["type"], node["p"]) for node in doc["nodes"]]

@@ -9,7 +9,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -58,18 +58,10 @@ class JointPmf:
     def type_sizes(self) -> tuple[int, ...]:
         return tuple(d - 1 for d in self.dims)
 
-    def cell(self, x: Sequence[int]) -> float:
-        return float(self.probs[tuple(int(v) for v in x)])
-
     def marginal(self, axis: int) -> np.ndarray:
         """1-D distribution of the type-``axis`` count."""
         other = tuple(a for a in range(self.probs.ndim) if a != axis)
         return self.probs.sum(axis=other) if other else self.probs.copy()
-
-    def cells(self) -> Iterable[tuple[tuple[int, ...], float]]:
-        """All ``(count vector, probability)`` pairs in lexicographic order."""
-        for idx in np.ndindex(*self.dims):
-            yield idx, float(self.probs[idx])
 
     def _table(self) -> np.ndarray:
         """One row per cell in C order: the count vector, then its probability."""

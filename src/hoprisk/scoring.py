@@ -59,7 +59,10 @@ class ScoreRuleSet:
     arity: int
 
 
-def _parse_pattern(raw: Sequence[str]) -> CountPattern:
+def _parse_pattern(raw: object) -> CountPattern:
+    # a string would be read character by character and an object by its keys
+    if not isinstance(raw, list):
+        raise ValueError(f"pattern must be a list of strings: {raw!r}")
     preds: list[tuple[str, int | None]] = []
     for token in raw:
         if not isinstance(token, str):

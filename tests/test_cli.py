@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hoprisk import JointPmf, load_json, save_json
@@ -36,7 +37,7 @@ def test_exact_depth_zero_is_binomial(tmp_path, k5_path):
     out = tmp_path / "pmf0.csv"
     assert main(["exact", "--network", k5_path, "-L", "0", "--out", str(out)]) == 0
     pmf = JointPmf.from_csv(str(out))
-    for (x1, x2), prob in pmf.cells():
+    for (x1, x2), prob in np.ndenumerate(pmf.probs):
         expected = (
             math.comb(2, x1) * 0.2**x1 * 0.8 ** (2 - x1)
             * math.comb(3, x2) * 0.2**x2 * 0.8 ** (3 - x2)
@@ -191,8 +192,6 @@ def test_stats_names_the_pmf_file_with_a_non_finite_probability(tmp_path, capsys
 
 def test_score_command(tmp_path):
     pmf_path = tmp_path / "pmf.csv"
-    import numpy as np
-
     probs = np.zeros((6, 3, 2))
     probs[0, 0, 0] = 0.25
     probs[4, 1, 0] = 0.75
@@ -223,6 +222,37 @@ def test_score_refuses_rules_of_another_arity(tmp_path, k5_path, capsys):
                                   "--out", str(out)], capsys)
     assert not out.exists()
     assert not (tmp_path / "scores.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("pattern", ["null", "5", '"**"', '{"a": 1}'])
+def test_score_refuses_a_pattern_that_is_not_a_list(tmp_path, k5_path, capsys, pattern):
+    pmf_path, out = tmp_path / "pmf.csv", tmp_path / "scores.csv"
+    assert main(["exact", "--network", k5_path, "-L", "1", "--out", str(pmf_path)]) == 0
+    rules = tmp_path / "rules.json"
+    rules.write_text(f'{{"default": 0, "rules": [{{"pattern": {pattern}, "score": 2}}]}}')
+    capsys.readouterr()
+    assert main(["score", "--pmf", str(pmf_path), "--rules", str(rules), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pattern must be a list of strings: ")
+    assert captured.err.count("\n") == 1, captured.err
+    assert not out.exists()
+    assert not (tmp_path / "scores.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["simulate", "--network", "{net}", "-L", "2", "-K", "10"], "-1"),
+    (["generate", "ba", "--nodes", "20", "--attach", "2", "--init", "3"], "-3"),
+])
+def test_negative_seed_is_refused_by_name(tmp_path, k5_path, capsys, argv, seed):
+    out = tmp_path / "out"
+    argv = [k5_path if a == "{net}" else a for a in argv]
+    assert main(argv + ["--seed", seed, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --seed must be >= 0, got {seed}\n"
+    # no output and no manifest
+    assert [p.name for p in tmp_path.iterdir()] == ["k5.json"]
 
 
 def test_json_nested_too_deeply_is_refused(tmp_path, k5_path, capsys):

@@ -165,7 +165,7 @@ def test_joint_pmf_no_propagation_is_binomial_product():
     pmf = joint_pmf(net, 4)
     from math import comb
 
-    for (x1, x2), prob in pmf.cells():
+    for (x1, x2), prob in np.ndenumerate(pmf.probs):
         expected = (
             comb(2, x1) * 0.3**x1 * 0.7 ** (2 - x1)
             * comb(3, x2) * 0.3**x2 * 0.7 ** (3 - x2)
@@ -178,7 +178,7 @@ def test_joint_pmf_depth_zero_is_direct_only():
     pmf = joint_pmf(net, 0)
     from math import comb
 
-    for (x1, x2), prob in pmf.cells():
+    for (x1, x2), prob in np.ndenumerate(pmf.probs):
         expected = (
             comb(2, x1) * 0.4**x1 * 0.6 ** (2 - x1)
             * comb(2, x2) * 0.4**x2 * 0.6 ** (2 - x2)
@@ -398,28 +398,31 @@ def test_thirteen_node_plan_stays_in_the_shared_budget():
             joint_pmf(net, depth)
             peaks.append(tracemalloc.get_traced_memory()[1])
         held = tracemalloc.get_traced_memory()[0]
-        cells = exact_engine._last[3]
     finally:
         tracemalloc.stop()
+    _, layout, factors = exact_engine._last
+    arrays = [layout.order, layout.starts, layout.full]
+    for chunk, factor in zip(layout.chunks, factors):
+        arrays += chunk[2:] + (factor if isinstance(factor, tuple) else (factor,))
+    cells = sum(a.size for a in arrays)
     assert max(peaks) <= budget
     # what stays is the plan: its cells and a few array headers per chunk
-    assert 0 <= held - 8 * cells < (1 << 16) + (len(exact_engine._last[1].chunks) << 10)
-    stored = sum(a.size for f in exact_engine._last[2] if isinstance(f, tuple) for a in f)
+    assert 0 <= held - 8 * cells < (1 << 16) + (len(layout.chunks) << 10)
+    stored = sum(a.size for f in factors if isinstance(f, tuple) for a in f)
     n = net.n_nodes
     assert cells - stored <= 3**n + (n * (n - 1) // 4 + n + 3) * 2**n
-    # the lumped engine and the contingency table keep the plan while both
-    # fit and drop it otherwise
-    room, plan = exact_engine._MAX_CELLS - cells, exact_engine._last
+    # the lumped engine and the contingency table drop the plan, even where
+    # both would fit in the budget, and the next solve plans anew to the
+    # same bytes
+    want = joint_pmf(net, 2).probs.tobytes()
     complete_homog_pmf(CompleteHomogParams((200,), 0.1, 0.01, 1))
-    assert 201**2 + 201**3 <= room and exact_engine._last is plan
-    complete_homog_pmf(CompleteHomogParams((214,), 0.1, 0.01, 1))
-    assert 215**2 + 215**3 > room and exact_engine._last is None
-    exact_engine._last = plan
-    x = np.arange(2100.0)
-    correlations(x[:2000], x[:2000])
-    assert 2 * 2000**2 <= room and exact_engine._last is plan
+    assert 201**2 + 201**3 <= exact_engine._MAX_CELLS - cells and exact_engine._last is None
+    assert joint_pmf(net, 2).probs.tobytes() == want
+    x = np.arange(2000.0)
     correlations(x, x)
-    assert 2 * 2100**2 > room and exact_engine._last is None
+    assert 2 * 2000**2 <= exact_engine._MAX_CELLS - cells and exact_engine._last is None
+    assert joint_pmf(net, 2).probs.tobytes() == want
+    assert exact_engine._last[0]() is net
 
 
 def test_unknown_node_in_target(example_net):

@@ -95,8 +95,9 @@ def test_induced_subnetwork_with_sparse_ids_derives_q_edges_degree_and_arc_start
     arcs = {(u, v) for u, v in net.q if u in keep and v in keep}
     assert sub.q == {arc: net.q[arc] for arc in arcs}
     assert sub.edges == frozenset((min(arc), max(arc)) for arc in arcs)
-    for v in sub.node_ids:
-        assert sub.degree(v) == sum(v in edge for edge in sub.edges)
+    degrees = np.bincount(sub.arc_src, minlength=sub.n_nodes)
+    for v, degree in zip(sub.node_ids, degrees):
+        assert degree == sum(v in edge for edge in sub.edges)
     starts = sub.arc_starts
     targets = sub.arc_dst[starts]
     dst = np.repeat(targets, np.diff(np.append(starts, len(sub.arc_src))))
@@ -118,7 +119,7 @@ def test_generate_ba_edge_count():
     # complete 5-node seed contributes 10 edges, then 2 per new node
     assert net.n_nodes == 200
     assert len(net.edges) == 10 + 2 * 195
-    assert sum(net.degree(v) for v in net.node_ids) == 2 * len(net.edges)
+    assert np.bincount(net.arc_src, minlength=net.n_nodes).sum() == 2 * len(net.edges)
 
 
 def test_generate_ba_seed_only():
@@ -159,11 +160,9 @@ def test_generate_ba_parameter_validation():
 def test_assign_types_by_degree_ba200():
     net = assign_types_by_degree(generate_ba(200, 2, 5, rng_seed=1), 20)
     assert net.type_sizes == (20, 180)
-    top_degrees = sorted((net.degree(v) for v in net.node_ids), reverse=True)[:20]
-    typed_degrees = sorted(
-        (net.degree(v) for v in net.node_ids if net.types[net.index_of[v]] == 0),
-        reverse=True,
-    )
+    degrees = np.bincount(net.arc_src, minlength=net.n_nodes)
+    top_degrees = sorted(degrees.tolist(), reverse=True)[:20]
+    typed_degrees = sorted(degrees[net.types == 0].tolist(), reverse=True)
     assert typed_degrees == top_degrees
 
 
@@ -318,6 +317,22 @@ def test_json_malformed_entry_names_the_first_missing_key(tmp_path, nodes, edges
     with pytest.raises(ValueError) as err:
         load_json(str(path))
     assert str(err.value) == f"{path}: malformed entry: {missing}"
+
+
+@pytest.mark.parametrize("nodes, edges, key", [
+    ('[{"id": 0, "type": 0, "p": 0.1}]', "{}", "edges"),
+    ('[{"id": 0, "type": 0, "p": 0.1}]', '"uv"', "edges"),
+    ('[{"id": 0, "type": 0, "p": 0.1}]', "null", "edges"),
+    ("{}", "[]", "nodes"),
+    ('"abc"', "[]", "nodes"),
+])
+def test_json_nodes_and_edges_must_be_lists(tmp_path, nodes, edges, key):
+    # an object would be read as its keys and a string as its characters
+    path = tmp_path / "not_a_list.json"
+    path.write_text(f'{{"nodes": {nodes}, "edges": {edges}}}')
+    with pytest.raises(ValueError) as err:
+        load_json(str(path))
+    assert str(err.value) == f"{path}: '{key}' must be a list"
 
 
 def test_network_keeps_copies_of_the_arc_arrays(example_net):

@@ -85,6 +85,16 @@ def test_parse_refuses_boolean_scores(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("pattern, shown", [
+    ("null", "None"), ("5", "5"), ('"**"', "'**'"), ('{"a": 1}', "{'a': 1}"),
+])
+def test_parse_refuses_a_pattern_that_is_not_a_list(pattern, shown):
+    # a string would be read as its characters, an object as its keys
+    with pytest.raises(ValueError) as err:
+        parse_rules(f'{{"default": 0, "rules": [{{"pattern": {pattern}, "score": 1}}]}}')
+    assert str(err.value) == f"pattern must be a list of strings: {shown}"
+
+
 def test_parse_refuses_json_nested_too_deeply():
     with pytest.raises(ValueError, match="^rules are not valid JSON: "):
         parse_rules("[" * 100000 + "]" * 100000)
