@@ -136,7 +136,11 @@ def cmd_stats(args: argparse.Namespace) -> dict[str, str]:
 def cmd_score(args: argparse.Namespace) -> dict[str, str]:
     pmf = JointPmf.from_csv(args.pmf)
     with open(args.rules, "r", encoding="utf-8") as fh:
-        rules = parse_rules(fh.read())
+        text = fh.read()
+    try:
+        rules = parse_rules(text)
+    except ValueError as exc:
+        raise ValueError(f"{args.rules}: {exc}") from exc
     dist = score_distribution(rules, pmf)
     return {args.out: _write_table(args.out, ["score", "prob"], ["%d", "%.17g"],
                                    list(dist.items()))}

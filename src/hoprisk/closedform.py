@@ -14,15 +14,18 @@ so these are exact fast paths, not approximations; the test suite checks them
 against the general engine.
 
 Each class has one read-out table: the distribution of its count after a
-round, given its count and the fronts that hit it. Round 1 reads each front
-at its count, since the front is the direct hits, so it needs no front axes;
-at depth 1 it contracts straight into the counts. Deeper, round 1 is a plain
-product into (count before, count after) per class, and every later round
-starts from a strided view of the last result that reads it as (count,
-front), so no shear is copied; a middle round is one contraction with the
-tables, and the last round contracts into the counts. The tables, the result
-and the contraction's intermediates are reserved in the exact engine's cell
-budget before anything is allocated; networks above it raise
+round, given its count and the fronts that hit it. A class that hits itself
+fills its table only where its own front is at most its count and the count
+after is at least it, the triangle a chain can reach: the other cells only
+ever meet zero mass. Round 1 reads each front at its count, since the front
+is the direct hits, so it needs no front axes; at depth 1 it contracts
+straight into the counts. Deeper, round 1 is a plain product into (count
+before, count after) per class, and every later round starts from a strided
+view of the last result that reads it as (count, front), so no shear is
+copied; a middle round is one contraction with the tables, and the last
+round contracts into the counts. The tables, the result and the
+contraction's intermediates are reserved in the exact engine's cell budget
+before anything is allocated; networks above it raise
 :class:`ExactEngineCapError`.
 """
 
@@ -89,13 +92,15 @@ class TwoClassParams:
                 raise ValueError(f"probability out of [0, 1]: {val}")
 
 
-def _readout_table(n: int, h: np.ndarray | float) -> np.ndarray:
+def _readout_table(n: int, h: np.ndarray | float, own: int | None = None) -> np.ndarray:
     """``out[c, ..., x]`` = P(c + Binomial(n - c, h) = x) for c, x in 0..n,
     any shape of h: the count after a round that starts from c of n nodes
     compromised and hits each intact node with probability h.
 
     Row c is row c + 1 with one more trial, so no large binomial
-    coefficients appear and h = 0 or 1 gives exact point masses.
+    coefficients appear and h = 0 or 1 gives exact point masses. If axis
+    ``own`` of h is the class's own front f, row c is filled only where
+    f <= c and x >= c, the cells a chain can reach; the rest stay 0.
     """
     h = np.asarray(h, dtype=float)[..., None]
     miss = 1.0 - h
@@ -103,10 +108,14 @@ def _readout_table(n: int, h: np.ndarray | float) -> np.ndarray:
     out[n, ..., n] = 1.0
     for c in range(n - 1, -1, -1):
         row, nxt = out[c], out[c + 1]
+        hit, lose = h, miss
+        if own is not None:
+            front = (slice(None),) * own + (slice(c + 1),)
+            row, nxt, hit, lose = row[front][..., c:], nxt[front][..., c:], h[front], miss[front]
         # row c has one more intact node: hit, the count is row c + 1's;
         # missed, it is one less
-        np.multiply(h, nxt, out=row)
-        row[..., :-1] += miss * nxt[..., 1:]
+        np.multiply(hit, nxt, out=row)
+        row[..., :-1] += lose * nxt[..., 1:]
     return out
 
 
@@ -198,7 +207,10 @@ def _chain_binomial(
     for t, n in enumerate(sizes):
         grids = np.ix_(*(np.arange(sizes[s] + 1) for s in hitters[t]))
         miss = reduce(np.multiply, ((1.0 - q[s][t]) ** g for s, g in zip(hitters[t], grids)), 1.0)
-        tables.append(_readout_table(n, 1.0 - miss))
+        # the view reads zeros where a front is above its count, and round 1
+        # reads the diagonal, so a class that hits itself needs only f <= c
+        own = hitters[t].index(t) if q[t][t] > 0.0 else None
+        tables.append(_readout_table(n, 1.0 - miss, own))
     # each table weighted by its class's start, read at the direct hits
     reads = [x for t in range(k)
              for x in (np.einsum(starts[t], [2 * t], tables[t], direct[t], read[t]), read[t])]

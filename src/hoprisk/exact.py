@@ -24,16 +24,19 @@ target cells come from one exact float64 product of bit tables. A round is
 then one broadcast multiply, one matrix product and one scatter per chunk.
 The plan of the network solved last is kept, through a weak reference to
 that network, for separate calls on it at any depth, so at most one plan is
-held and it goes with its network. The arrays, the stored factors included,
-are checked against a fixed cell budget before allocating; that budget is
-the only limit, and it refuses networks above 14 nodes with
-:class:`ExactEngineCapError`. From 13 nodes on, the factors of the chunks
-past the budget are computed in each round instead. A held plan takes the
-stored factors plus at most 3^N + (N(N - 1)/4 + N + 3) 2^N cells for the
-layout and the 1 - q arrays of the other chunks. The lumped engine in
-closedform and the table of stats.correlations share the budget through
-_reserve and its one rule: a request above the budget is refused, and any
-other request drops the held plan.
+held and it goes with its network. So does its pass, the mass after the
+last round played: a separate call on that network goes on from it when no
+depth it asks is below that round, and otherwise starts again from the
+direct attack. The arrays, the stored factors included, are checked against
+a fixed cell budget before allocating; that budget is the only limit, and
+it refuses networks above 14 nodes with :class:`ExactEngineCapError`. From
+13 nodes on, the factors of the chunks past the budget are computed in each
+round instead. A held plan and pass take the stored factors plus at most
+2 3^N + (N(N - 1)/4 + N + 3) 2^N cells for the mass, the layout and the
+1 - q arrays of the other chunks. The lumped engine in closedform and the
+table of stats.correlations share the budget through _reserve and its one
+rule: a request above the budget is refused, and any other request drops
+the held plan and pass.
 """
 
 from __future__ import annotations
@@ -237,9 +240,10 @@ def _chunk_factors(net: NetworkModel, layout: _Layout) -> list[tuple | np.ndarra
     return factors
 
 
-# the network solved last, its layout and its chunks' factors; dropped
-# together with that network
-_last: tuple[weakref.ref, _Layout, list] | None = None
+# the network solved last, its layout, its chunks' factors and its pass: the
+# mass after the last round played (None before one starts) and that round's
+# number; dropped together with that network
+_last: tuple[weakref.ref, _Layout, list, np.ndarray | None, int] | None = None
 
 
 def _forget(ref: weakref.ref) -> None:
@@ -261,7 +265,7 @@ def _plan(net: NetworkModel) -> tuple[_Layout, list]:
     if layout is None:
         layout = _layout(net.n_nodes)
     factors = _chunk_factors(net, layout)
-    _last = (weakref.ref(net, _forget), layout, factors)
+    _last = (weakref.ref(net, _forget), layout, factors, None, 0)
     return layout, factors
 
 
@@ -269,8 +273,8 @@ def _reserve(
     cells: int, what: str, advice: str = "; use the `simulate` command / simulate_runs() instead"
 ) -> None:
     """Before allocating ``cells`` cells: refuse them, naming ``what`` needs
-    them, if they are above the budget, and otherwise drop the held plan, so
-    that it never sits beside them."""
+    them, if they are above the budget, and otherwise drop the held plan and
+    pass, so that they never sit beside them."""
     global _last
     if cells > _MAX_CELLS:
         # an N-node exact engine asks for about 3^N cells, thousands of digits
@@ -282,24 +286,29 @@ def _reserve(
     _last = None
 
 
-def _set_probs(net: NetworkModel, depths: Iterable[int]) -> Iterator[np.ndarray]:
+def _set_probs(net: NetworkModel, depths: Sequence[int]) -> Iterator[np.ndarray]:
     """Yield, for each of the ascending ``depths``, ``out[C]`` = probability
     that exactly C is compromised after that many rounds, started by the
-    direct attack; each round is played once, and at most N of them."""
+    direct attack; each round is played once, and at most N of them. The
+    pass held for ``net`` goes on if no depth is below its round."""
+    global _last
     n = net.n_nodes
     layout, factors = _plan(net)
-    state = np.zeros(3**n)
-    state[layout.full] = _outcomes(net.p, 1.0 - net.p)
-    played = 0
+    ref, _, _, state, played = _last
+    if state is None or any(depth < played for depth in depths):
+        state, played = np.zeros(3**n), 0
+        state[layout.full] = _outcomes(net.p, 1.0 - net.p)
+        # the slot holds the newest mass only, so that a round sees two
+        _last = (ref, layout, factors, state, played)
     for depth in depths:
-        for _ in range(played, min(depth, n)):
+        for played in range(played + 1, min(depth, n) + 1):
             nxt = np.empty_like(state)
             for (lo, hi, target, _, _), chunk in zip(layout.chunks, factors):
                 if not isinstance(chunk, tuple):
                     chunk = _factors(chunk)
                 nxt[target] = _round(state[lo:hi].reshape(len(target), -1), chunk)
             state = nxt
-        played = min(depth, n)
+            _last = (ref, layout, factors, state, played)
         out = np.empty(1 << n)
         out[layout.order] = np.add.reduceat(state, layout.starts)
         yield out

@@ -477,8 +477,14 @@ def load_json(path: str) -> NetworkModel:
         node_rows = [(node["id"], node["type"], node["p"]) for node in doc["nodes"]]
         edge_rows = [(edge["u"], edge["v"], edge.get("q_uv", 0.0), edge.get("q_vu", 0.0))
                      for edge in doc["edges"]]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ValueError(f"{path}: malformed entry: {exc}") from exc
+    except TypeError as exc:
+        # only an entry that is not an object raises it, and the entries
+        # before the one that did were objects
+        group, i, entry = next((group, i, entry) for group in ("nodes", "edges")
+                               for i, entry in enumerate(doc[group]) if type(entry) is not dict)
+        raise ValueError(f"{path}: {group}[{i}]: expected an object, got {entry!r}") from exc
     ids, types, p = zip(*node_rows) if node_rows else ((),) * 3
     u, v, q_uv, q_vu = zip(*edge_rows) if edge_rows else ((),) * 4
     if not (set(map(type, chain(ids, types, u, v))) <= _INTEGER

@@ -234,10 +234,21 @@ def test_score_refuses_a_pattern_that_is_not_a_list(tmp_path, k5_path, capsys, p
     assert main(["score", "--pmf", str(pmf_path), "--rules", str(rules), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: pattern must be a list of strings: ")
+    assert captured.err.startswith(f"error: {rules}: pattern must be a list of strings: ")
     assert captured.err.count("\n") == 1, captured.err
     assert not out.exists()
     assert not (tmp_path / "scores.csv.manifest.json").exists()
+
+
+def test_score_names_the_rules_file_in_its_errors(tmp_path, k5_path, capsys):
+    pmf_path, out = tmp_path / "pmf.csv", tmp_path / "scores.csv"
+    assert main(["exact", "--network", k5_path, "-L", "1", "--out", str(pmf_path)]) == 0
+    rules = tmp_path / "r1.json"
+    rules.write_text('{"default": 0, "rules": {}}')
+    capsys.readouterr()
+    assert main(["score", "--pmf", str(pmf_path), "--rules", str(rules), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {rules}: 'rules' must be a list\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, seed", [
@@ -287,6 +298,16 @@ def test_a_repeated_or_64_bit_overflowing_edge_is_refused(tmp_path, capsys, comm
     path.write_text(json.dumps(doc))
     _refused_with_one_error_line([*command, "--network", str(path), "-L", "1",
                                   "--out", str(tmp_path / "out.csv")], capsys)
+
+
+def test_a_network_entry_that_is_not_an_object_is_refused_by_name(tmp_path, capsys):
+    path, out = tmp_path / "n5.json", tmp_path / "pmf.csv"
+    path.write_text('{"nodes": [5], "edges": []}')
+    assert main(["exact", "--network", str(path), "-L", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: nodes[0]: expected an object, got 5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["n5.json"]
 
 
 @pytest.mark.parametrize("command, files", [

@@ -258,6 +258,65 @@ def test_three_classes_match_the_exact_engine():
                         joint_pmf(net, depth).probs, rtol=0, atol=1e-12)
 
 
+def _dense_readout_table(n, h, own=None):
+    """Every cell of the read-out table, by the engine's row recurrence,
+    whatever ``own`` says: the reference for the cells a chain reaches."""
+    h = np.asarray(h, dtype=float)[..., None]
+    miss = 1.0 - h
+    out = np.zeros((n + 1,) + h.shape[:-1] + (n + 1,))
+    out[n, ..., n] = 1.0
+    for c in range(n - 1, -1, -1):
+        np.multiply(h, out[c + 1], out=out[c])
+        out[c, ..., :-1] += miss * out[c + 1, ..., 1:]
+    return out
+
+
+@pytest.mark.parametrize("hitters", [1, 2, 3])
+def test_readout_table_of_a_self_hitting_class_fills_its_triangle(hitters):
+    rng = np.random.default_rng(hitters)
+    for n in range(13):
+        for own in range(hitters):
+            shape = [int(rng.integers(1, 5)) for _ in range(hitters)]
+            shape[own] = n + 1
+            # exact 0s and 1s among the hit probabilities
+            h = rng.choice([0.0, 1.0, *rng.random(6)], size=shape)
+            got = closedform._readout_table(n, h, own)
+            want = _dense_readout_table(n, h)
+            index = np.indices(got.shape, sparse=True)
+            c, f, x = index[0], index[1 + own], index[-1]
+            reach = np.broadcast_to((f <= c) & (c <= x), got.shape)
+            assert got[reach].tobytes() == want[reach].tobytes()
+            assert not got[~reach].any()
+
+
+def test_chain_binomial_gives_the_bytes_of_the_dense_tables(monkeypatch):
+    rng = np.random.default_rng(2026)
+    cases, positions = [], set()
+    for _ in range(200):
+        k = int(rng.integers(1, 4))
+        sizes = tuple(int(n) for n in rng.integers(1, 6 if k < 3 else 4, size=k))
+        q = (rng.uniform(0.05, 0.6, size=(k, k)) * (rng.random((k, k)) < 0.6)).tolist()
+        positions |= {[s for s in range(k) if q[s][t] > 0].index(t)
+                      for t in range(k) if q[t][t] > 0}
+        starts = [np.eye(n + 1)[rng.integers(n + 1)] if rng.random() < 0.3
+                  else _binom_start(n, rng.random()) for n in sizes]
+        cases.append((sizes, starts, q, int(rng.integers(1, 6))))
+    # a class hits itself as the first, the middle and the last of its hitters
+    assert positions == {0, 1, 2}
+    got = [_chain_binomial(*case) for case in cases]
+    monkeypatch.setattr(closedform, "_readout_table", _dense_readout_table)
+    for case, probs in zip(cases, got):
+        assert probs.tobytes() == _chain_binomial(*case).tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_paper_size_complete_graph_gives_the_bytes_of_the_dense_table(monkeypatch, depth):
+    params = CompleteHomogParams((20, 180), 0.05, 0.01, depth)
+    got = complete_homog_pmf(params).probs
+    monkeypatch.setattr(closedform, "_readout_table", _dense_readout_table)
+    assert got.tobytes() == complete_homog_pmf(params).probs.tobytes()
+
+
 def test_no_einsum_intermediate_exceeds_the_reserved_cells(monkeypatch):
     reserved, largest = [], []
     reserve, einsum = closedform._reserve, np.einsum

@@ -318,7 +318,9 @@ def test_joint_pmfs_match_joint_pmf_bit_for_bit():
             assert pmf.dims == want.dims and pmf.probs.tobytes() == want.probs.tobytes()
 
 
-def test_joint_pmfs_play_each_round_once(monkeypatch):
+@pytest.fixture
+def rounds(monkeypatch):
+    """``rounds(solve)``: the kernel calls that ``solve()`` makes."""
     calls = [0]
     kernel = exact_engine._round
 
@@ -328,19 +330,54 @@ def test_joint_pmfs_play_each_round_once(monkeypatch):
 
     monkeypatch.setattr(exact_engine, "_round", counted)
 
-    def rounds(solve):
+    def count(solve):
         calls[0] = 0
         solve()
         return calls[0]
 
+    return count
+
+
+def test_joint_pmfs_play_each_round_once(rounds):
     net = complete_network([3, 4], 0.2, 0.1)
     deepest = rounds(lambda: joint_pmf(net, 5))
     assert deepest > 0
     assert rounds(lambda: exact_engine._joint_pmfs(net, range(1, 6))) == deepest
-    # nothing moves after the N-th round: deeper depths play no more
-    saturated = rounds(lambda: joint_pmf(net, 7))
-    for depth in (8, 10**12):
-        assert rounds(lambda: joint_pmf(net, depth)) == saturated
+    # nothing moves after the N-th round: once there, deeper depths play none
+    assert rounds(lambda: joint_pmf(net, 7)) > 0
+    for depth in (7, 8, 10**12):
+        assert rounds(lambda: joint_pmf(net, depth)) == 0
+
+
+def test_separate_calls_at_rising_depths_continue_one_pass(rounds):
+    net = complete_network([3, 4], 0.2, 0.1)
+    depths = range(9)
+    # an equal copy is another network: it is solved from the direct attack
+    whole, two = {}, {}
+    one_pass = rounds(lambda: whole.update(exact_engine._joint_pmfs(replace(net), depths)))
+    from_start = rounds(lambda: two.update(exact_engine._joint_pmfs(replace(net), [2])))
+    sweep = {}
+    assert rounds(lambda: sweep.update({d: joint_pmf(net, d) for d in depths})) == one_pass
+    for depth in depths:
+        assert sweep[depth].probs.tobytes() == whole[depth].probs.tobytes()
+    assert exact_engine._last[4] == net.n_nodes
+    # a shallower call starts again from the direct attack, to the same bytes
+    again = []
+    assert rounds(lambda: again.append(joint_pmf(net, 2))) == from_start
+    assert again[0].probs.tobytes() == two[2].probs.tobytes()
+    assert exact_engine._last[4] == 2
+
+
+def test_a_copy_with_other_p_never_resumes_the_held_pass(rounds):
+    net = complete_network([2, 3], 0.2, 0.1)
+    p = np.linspace(0.1, 0.5, net.n_nodes)
+    cold, got = [], []
+    from_start = rounds(lambda: cold.append(joint_pmf(replace(net, p=p), 4)))
+    joint_pmf(net, 3)
+    copy = replace(net, p=p)
+    assert rounds(lambda: got.append(joint_pmf(copy, 4))) == from_start
+    assert got[0].probs.tobytes() == cold[0].probs.tobytes()
+    assert exact_engine._last[0]() is copy
 
 
 def test_every_over_budget_request_is_refused_as_a_cap_and_value_error():
@@ -368,8 +405,12 @@ def test_refusal_of_a_request_past_2_53_cells_names_a_power_of_two():
 def test_plan_is_dropped_with_its_network():
     net = complete_network([2, 3], 0.2, 0.1)
     joint_pmf(net, 2)
-    assert exact_engine._last[0]() is net
-    del net
+    ref, _, _, mass, played = exact_engine._last
+    assert ref() is net and mass.size == 3**5 and played == 2
+    exact_engine._reserve(1, "one cell")
+    assert exact_engine._last is None
+    joint_pmf(net, 2)
+    del net, ref, mass
     gc.collect()
     assert exact_engine._last is None
 
@@ -400,27 +441,28 @@ def test_thirteen_node_plan_stays_in_the_shared_budget():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    _, layout, factors = exact_engine._last
-    arrays = [layout.order, layout.starts, layout.full]
+    _, layout, factors, mass, _ = exact_engine._last
+    arrays = [layout.order, layout.starts, layout.full, mass]
     for chunk, factor in zip(layout.chunks, factors):
         arrays += chunk[2:] + (factor if isinstance(factor, tuple) else (factor,))
     cells = sum(a.size for a in arrays)
     assert max(peaks) <= budget
-    # what stays is the plan: its cells and a few array headers per chunk
+    # what stays is the plan and the pass: their cells and a few array headers
+    # per chunk
     assert 0 <= held - 8 * cells < (1 << 16) + (len(layout.chunks) << 10)
     stored = sum(a.size for f in factors if isinstance(f, tuple) for a in f)
     n = net.n_nodes
-    assert cells - stored <= 3**n + (n * (n - 1) // 4 + n + 3) * 2**n
+    assert cells - stored <= 2 * 3**n + (n * (n - 1) // 4 + n + 3) * 2**n
     # the lumped engine and the contingency table drop the plan, even where
     # both would fit in the budget, and the next solve plans anew to the
     # same bytes
     want = joint_pmf(net, 2).probs.tobytes()
-    complete_homog_pmf(CompleteHomogParams((200,), 0.1, 0.01, 1))
-    assert 201**2 + 201**3 <= exact_engine._MAX_CELLS - cells and exact_engine._last is None
+    complete_homog_pmf(CompleteHomogParams((150,), 0.1, 0.01, 1))
+    assert 151**2 + 151**3 <= exact_engine._MAX_CELLS - cells and exact_engine._last is None
     assert joint_pmf(net, 2).probs.tobytes() == want
-    x = np.arange(2000.0)
+    x = np.arange(1500.0)
     correlations(x, x)
-    assert 2 * 2000**2 <= exact_engine._MAX_CELLS - cells and exact_engine._last is None
+    assert 2 * 1500**2 <= exact_engine._MAX_CELLS - cells and exact_engine._last is None
     assert joint_pmf(net, 2).probs.tobytes() == want
     assert exact_engine._last[0]() is net
 

@@ -310,6 +310,8 @@ def test_json_self_loop_is_not_a_duplicate(tmp_path):
     ('[{"id": 0, "type": 0}, {"type": 0, "p": 0.1}]', "[]", "'p'"),
     ('[{"id": 0, "type": 0, "p": 0.1}]', '[{"u": 0}, {"v": 0}]', "'v'"),
     ('[{"id": 0, "p": 0.1}]', '[{"v": 0}]', "'type'"),
+    # the first offender is named, before an entry that is not an object
+    ('[{"id": 0, "p": 0.1}, 5]', '["ab"]', "'type'"),
 ])
 def test_json_malformed_entry_names_the_first_missing_key(tmp_path, nodes, edges, missing):
     path = tmp_path / "malformed.json"
@@ -317,6 +319,20 @@ def test_json_malformed_entry_names_the_first_missing_key(tmp_path, nodes, edges
     with pytest.raises(ValueError) as err:
         load_json(str(path))
     assert str(err.value) == f"{path}: malformed entry: {missing}"
+
+
+@pytest.mark.parametrize("nodes, edges, where, shown", [
+    ("[5]", "[]", "nodes[0]", "5"),
+    ('[{"id": 0, "type": 0, "p": 0.1}, "ab", null]', '[{"u": 0}]', "nodes[1]", "'ab'"),
+    ('[{"id": 0, "type": 0, "p": 0.1}]', '[{"u": 0, "v": 0}, [0, 1], 2.5]', "edges[1]", "[0, 1]"),
+    ('[{"id": 0, "type": 0, "p": 0.1}]', "[null]", "edges[0]", "None"),
+])
+def test_json_entry_that_is_not_an_object_is_named(tmp_path, nodes, edges, where, shown):
+    path = tmp_path / "n5.json"
+    path.write_text(f'{{"nodes": {nodes}, "edges": {edges}}}')
+    with pytest.raises(ValueError) as err:
+        load_json(str(path))
+    assert str(err.value) == f"{path}: {where}: expected an object, got {shown}"
 
 
 @pytest.mark.parametrize("nodes, edges, key", [
