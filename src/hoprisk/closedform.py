@@ -21,11 +21,15 @@ ever meet zero mass. Round 1 reads each front at its count, since the front
 is the direct hits, so it needs no front axes; at depth 1 it contracts
 straight into the counts. Deeper, round 1 is a plain product into (count
 before, count after) per class, and every later round starts from a strided
-view of the last result that reads it as (count, front), so no shear is
-copied; a middle round is one contraction with the tables, and the last
-round contracts into the counts. The tables, the result and the
-contraction's intermediates are reserved in the exact engine's cell budget
-before anything is allocated; networks above it raise
+view of the last result that reads it as (count, front). A round contracts
+that view with the tables two arrays at a time, each pair as one batched
+matrix product, and sums an axis as soon as nothing left needs it; a middle
+round ends in the next (count before, count after), the last in the counts.
+The view is copied into a product's order a slab at a time, through a
+buffer of at most 2^18 cells or one slab, so neither the state nor its shear
+is ever copied whole. The tables, the results and every temporary of a
+round, counted from the shapes, are reserved in the exact engine's cell
+budget before anything is allocated; networks above it raise
 :class:`ExactEngineCapError`.
 """
 
@@ -35,12 +39,16 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .exact import _reserve
 from .pmf import JointPmf
+
+# cells of the buffer through which a contraction copies its left operand,
+# a slab at a time
+_SLAB_CELLS = 1 << 18
 
 __all__ = [
     "CompleteHomogParams",
@@ -104,18 +112,27 @@ def _readout_table(n: int, h: np.ndarray | float, own: int | None = None) -> np.
     """
     h = np.asarray(h, dtype=float)[..., None]
     miss = 1.0 - h
-    out = np.zeros((n + 1,) + h.shape[:-1] + (n + 1,))
+    shape = (n + 1,) + h.shape[:-1] + (n + 1,)
+    # one zero past the table: row c + 1 at x = 0 is 0 for every c, so row
+    # c + 1 read at x + 1 reads 0 past its end
+    flat = np.zeros(math.prod(shape) + 1)
+    out = flat[:-1].reshape(shape)
     out[n, ..., n] = 1.0
+    # row c has one more intact node: hit, the count is row c + 1's at x;
+    # missed, it is at x + 1
+    if own is None:
+        both, terms = np.array([h, miss]), np.empty((2,) + shape[1:])
+        at_x_and_next = np.ndarray((n + 1,) + terms.shape, buffer=flat,
+                                   strides=out.strides[:1] + (flat.itemsize,) + out.strides[1:])
+        for c in range(n - 1, -1, -1):
+            np.multiply(both, at_x_and_next[c + 1], out=terms)
+            np.add(terms[0], terms[1], out=out[c])
+        return out
     for c in range(n - 1, -1, -1):
-        row, nxt = out[c], out[c + 1]
-        hit, lose = h, miss
-        if own is not None:
-            front = (slice(None),) * own + (slice(c + 1),)
-            row, nxt, hit, lose = row[front][..., c:], nxt[front][..., c:], h[front], miss[front]
-        # row c has one more intact node: hit, the count is row c + 1's;
-        # missed, it is one less
-        np.multiply(hit, nxt, out=row)
-        row[..., :-1] += lose * nxt[..., 1:]
+        front = (slice(None),) * own + (slice(c + 1),)
+        row, nxt = out[c][front][..., c:], out[c + 1][front][..., c:]
+        np.multiply(h[front], nxt, out=row)
+        row[..., :-1] += miss[front] * nxt[..., 1:]
     return out
 
 
@@ -144,7 +161,7 @@ def _chain_binomial(
     ``(N_1 + 1, ..., N_k + 1)``.
     """
     k = len(sizes)
-    # einsum axes: class t's count c_t is 2t, its front f_t 2t+1 and its
+    # axes: class t's count c_t is 2t, its front f_t 2t+1 and its
     # count after the round x_t 2k+t; class t is hit only by the fronts of
     # the classes s with q[s][t] > 0
     hitters = [[s for s in range(k) if q[s][t] > 0.0] for t in range(k)]
@@ -178,27 +195,22 @@ def _chain_binomial(
     labels = [a for t in range(k) for a in (2 * t, 2 * t + 1)]
     view = [s for t in range(k) for s in (stride[2 * t] + stride[2 * k + t], -stride[2 * t])]
 
-    # One greedy path, found on stand-ins so that its intermediates are
-    # reserved before anything is allocated: the contraction into the counts
-    # after one round, or else a middle round's, which the last round reuses
-    # as it keeps a subset of those axes
-    operands = read if rounds == 1 else [labels] + axes
-    final = out if rounds <= 2 else pairs
-    stand_ins = [x for ax in operands for x in (np.broadcast_to(0.0, [length[a] for a in ax]), ax)]
-    path = np.einsum_path(*stand_ins, final, optimize="greedy")[0]
-    live, largest = [set(ax) for ax in operands], 0
-    for contracted in path[1:-1]:
-        merged = set().union(*(live.pop(i) for i in sorted(contracted, reverse=True)))
-        live.append(merged & set(final).union(*live))
-        largest = max(largest, cells(live[-1]))
-    # a middle round writes its result over the one it starts from if a step
-    # before its last contracts that one away
-    results = 0 if rounds == 1 else 1 if rounds == 2 or any(0 in c for c in path[1:-1]) else 2
-    # held: the tables and their reads, the largest intermediate, the counts
-    # and the results with their zeros. numpy's contractions may copy an
-    # operand once more, unreserved
+    # The contractions into the counts after one round, or else the last
+    # round's and a middle round's; only one runs at a time
+    if rounds == 1:
+        temps, last = _pairwise(read, out, length)
+    else:
+        temps, last = _pairwise([labels] + axes, out, length)
+        if rounds > 2:
+            middle_temps, middle = _pairwise([labels] + axes, pairs, length)
+            temps = max(temps, middle_temps)
+    # a middle round writes its result over the one it starts from if its
+    # first product, which reads all of that one, is not its last
+    results = 0 if rounds == 1 else 1 if rounds == 2 or k > 1 else 2
+    # held: the tables and their reads, a round's temporaries, the counts
+    # and the results with their zeros
     _reserve(
-        sum(cells(ax) for ax in axes + read) + largest + cells(out)
+        sum(cells(ax) for ax in axes + read) + temps + cells(out)
         + results * (pad + cells(pairs)),
         f"class sizes {tuple(sizes)}",
     )
@@ -212,10 +224,10 @@ def _chain_binomial(
         own = hitters[t].index(t) if q[t][t] > 0.0 else None
         tables.append(_readout_table(n, 1.0 - miss, own))
     # each table weighted by its class's start, read at the direct hits
-    reads = [x for t in range(k)
-             for x in (np.einsum(starts[t], [2 * t], tables[t], direct[t], read[t]), read[t])]
+    reads = [np.einsum(starts[t], [2 * t], tables[t], direct[t], read[t]) for t in range(k)]
+    counts = np.empty([length[a] for a in out])
     if rounds == 1:
-        return np.einsum(*reads, out, optimize=path)
+        return last(reads, counts)
 
     buffers = [np.zeros(pad + cells(pairs)) for _ in range(results)]
 
@@ -224,13 +236,114 @@ def _chain_binomial(
                           strides=[s * result.itemsize for s in view])
 
     # round 1 sums over nothing: the product of the reads
-    state = buffers[0][pad:].reshape(shape)
-    np.einsum(*reads, pairs, out=state)
-    step = [x for t in range(k) for x in (tables[t], axes[t])]
+    np.einsum(*(x for t in range(k) for x in (reads[t], read[t])), pairs,
+              out=buffers[0][pad:].reshape(shape))
     for r in range(rounds - 2):
         state = buffers[(r + 1) % results][pad:].reshape(shape)
-        np.einsum(start(buffers[r % results]), labels, *step, pairs, out=state, optimize=path)
-    return np.einsum(start(buffers[(rounds - 2) % results]), labels, *step, out, optimize=path)
+        middle([start(buffers[r % results])] + tables, state)
+    return last([start(buffers[(rounds - 2) % results])] + tables, counts)
+
+
+def _pairwise(
+    operands: Sequence[Sequence[int]], final: Sequence[int], length: Sequence[int]
+) -> tuple[int, Callable[[Sequence[np.ndarray], np.ndarray], np.ndarray]]:
+    """Plan the contraction of arrays with axes ``operands`` (axis a of
+    length ``length[a]``) into one with axes ``final``.
+
+    The first operand is multiplied by another, the result by another and so
+    on, each pair as one batched matrix product: axes both keep are the
+    batch, axes both sum over are the inner dimension. The next operand is
+    the one whose product is smallest, and an axis is summed as soon as no
+    operand left and not ``final`` has it. The left operand is copied into
+    the product's order a slab of its first axis at a time, so a strided view
+    is never copied whole, and the products of slabs along an axis they sum
+    over accumulate. Returns the cells of every temporary this makes and a
+    function that runs it on such arrays, writing the result into ``out``.
+    """
+
+    def cells(ax: Sequence[int]) -> int:
+        return math.prod(length[a] for a in ax)
+
+    # kept axes go longest first, so that a slab along the first is small
+    def longest(ax: Iterable[int]) -> list[int]:
+        return sorted(ax, key=lambda a: -length[a])
+
+    def pair(acc: list[int], i: int) -> tuple:
+        b_in = operands[i]
+        needed = set(final).union(*(operands[r] for r in rest if r != i))
+        a_ax = [a for a in acc if a in b_in or a in needed]
+        b_ax = [b for b in b_in if b in acc or b in needed]
+        batch = longest(a for a in a_ax if a in b_ax and a in needed)
+        left = longest(a for a in a_ax if a not in b_ax)
+        inner = [b for b in b_ax if b in a_ax and b not in needed]
+        right = [b for b in b_ax if b not in a_ax]
+        result = batch + left + right
+        return cells(result), i, a_ax, b_ax, batch, left, inner, right, result
+
+    steps, temps, acc, rest = [], 0, list(operands[0]), list(range(1, len(operands)))
+    while rest:
+        size, i, a_ax, b_ax, batch, left, inner, right, result = min(pair(acc, i) for i in rest)
+        rest.remove(i)
+        # slabs run along the left operand's first axis: also the right
+        # operand's unless it is a left axis, and the result's unless summed
+        first, a_size, b_size = (batch + left + inner)[0], cells(a_ax), cells(b_ax)
+        rows = min(length[first], max(1, _SLAB_CELLS * length[first] // a_size))
+        # the operands with unneeded axes summed, the left one's slab copy,
+        # the right one in the product's order, each slab's product and a
+        # result not written into `out`
+        temps += (
+            (a_ax != acc) * a_size + (b_ax != operands[i]) * b_size
+            + a_size // length[first] * rows
+            + (b_ax != batch + inner + right) * b_size
+            + (size // length[first] * rows if first in result else size)
+            + bool(rest) * size
+        )
+        steps.append((acc, i, a_ax, b_ax, batch, left, inner, right, rows))
+        acc = result
+    kept = [a for a in acc if a in final]
+    temps += (kept != acc) * cells(kept)
+
+    def run(arrays: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+        x = arrays[0]
+        for x_in, i, a_ax, b_ax, batch, left, inner, right, rows in steps:
+            x, b = _sum_except(x, x_in, a_ax), _sum_except(arrays[i], operands[i], b_ax)
+            lhs = x.transpose([a_ax.index(a) for a in batch + left + inner])
+            rhs = np.ascontiguousarray(b.transpose([b_ax.index(a) for a in batch + inner + right]))
+            result = batch + left + right
+            x = (out.transpose([final.index(a) for a in result]) if i == steps[-1][1]
+                 else np.empty([length[a] for a in result]))
+            scratch = np.empty(lhs[:rows].size)
+            nb, nl, ni = len(batch), len(left), len(inner)
+            for lo in range(0, lhs.shape[0], rows):
+                piece, part = lhs[lo:lo + rows], rhs[lo:lo + rows] if nb or not nl else rhs
+                if not piece.flags.c_contiguous:
+                    copy = scratch[:piece.size].reshape(piece.shape)
+                    np.copyto(copy, piece)
+                    piece = copy
+                product = np.matmul(_grouped(piece, nb, nl), _grouped(part, nb, ni))
+                product = product.reshape(piece.shape[:nb + nl] + part.shape[nb + ni:])
+                if nb or nl:
+                    x[lo:lo + rows] = product
+                elif lo:
+                    x += product
+                else:
+                    x[...] = product
+        if not steps:
+            out[...] = _sum_except(x, acc, kept).transpose([kept.index(a) for a in final])
+        return out
+
+    return temps, run
+
+
+def _sum_except(x: np.ndarray, axes: Sequence[int], kept: Sequence[int]) -> np.ndarray:
+    """``x``, with axes ``axes``, summed over those not in ``kept``."""
+    gone = tuple(i for i, a in enumerate(axes) if a not in kept)
+    return x.sum(axis=gone) if gone else x
+
+
+def _grouped(x: np.ndarray, i: int, j: int) -> np.ndarray:
+    """``x`` as three axes: its axes before i, from i to i + j, and after."""
+    return x.reshape(math.prod(x.shape[:i]), math.prod(x.shape[i:i + j]), -1)
 
 
 def r_complete(u: int, c: int, d: int, depth: int, *, q: float) -> float:

@@ -252,21 +252,21 @@ def _forget(ref: weakref.ref) -> None:
         _last = None
 
 
-def _plan(net: NetworkModel) -> tuple[_Layout, list]:
-    """The layout and chunk factors of ``net``, built once while it is the
-    network solved last; the layout is kept for a next network of its size."""
+def _plan(net: NetworkModel) -> tuple[weakref.ref, _Layout, list, np.ndarray | None, int]:
+    """The slot of ``net`` (its layout, chunk factors and pass), built once while
+    it is the network solved last; the layout is kept for a next network of its size."""
     global _last
     last = _last
     if last is not None and last[0]() is net:
-        return last[1], last[2]
+        return last
     # drop the old factors (and a layout of another size) before building anew
     layout = last[1] if last is not None and last[1].n == net.n_nodes else None
     _last = last = None
     if layout is None:
         layout = _layout(net.n_nodes)
     factors = _chunk_factors(net, layout)
-    _last = (weakref.ref(net, _forget), layout, factors, None, 0)
-    return layout, factors
+    _last = last = (weakref.ref(net, _forget), layout, factors, None, 0)
+    return last
 
 
 def _reserve(
@@ -293,8 +293,7 @@ def _set_probs(net: NetworkModel, depths: Sequence[int]) -> Iterator[np.ndarray]
     pass held for ``net`` goes on if no depth is below its round."""
     global _last
     n = net.n_nodes
-    layout, factors = _plan(net)
-    ref, _, _, state, played = _last
+    ref, layout, factors, state, played = _plan(net)
     if state is None or any(depth < played for depth in depths):
         state, played = np.zeros(3**n), 0
         state[layout.full] = _outcomes(net.p, 1.0 - net.p)

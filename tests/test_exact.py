@@ -380,6 +380,26 @@ def test_a_copy_with_other_p_never_resumes_the_held_pass(rounds):
     assert exact_engine._last[0]() is copy
 
 
+def test_a_solve_goes_on_from_its_own_slot_when_another_network_takes_the_held_one(monkeypatch):
+    # another thread may install its own network's plan and pass between
+    # this call's `_plan` and the rounds; here every `_plan(a)` is followed
+    # by a solve of b, which takes the held slot
+    a, b = _typed_ba(7, 9), _typed_ba(7, 10)
+    fresh = joint_pmf(replace(a), 2).probs.tobytes()
+    plan = exact_engine._plan
+
+    def interrupted(net):
+        slot = plan(net)
+        monkeypatch.setattr(exact_engine, "_plan", plan)
+        joint_pmf(b, 1)
+        monkeypatch.setattr(exact_engine, "_plan", interrupted)
+        return slot
+
+    monkeypatch.setattr(exact_engine, "_plan", interrupted)
+    assert joint_pmf(a, 2).probs.tobytes() == fresh
+    assert exact_engine._last[0]() is a
+
+
 def test_every_over_budget_request_is_refused_as_a_cap_and_value_error():
     path = build_network([(i, 0, 0.1) for i in range(20)], [(i, i + 1) for i in range(19)], q=0.2)
     x = np.arange(3000.0)  # a 3000 x 3000 table and its copy: 1.8e7 cells
