@@ -39,7 +39,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -255,75 +255,77 @@ def _pairwise(
     batch, axes both sum over are the inner dimension. The next operand is
     the one whose product is smallest, and an axis is summed as soon as no
     operand left and not ``final`` has it. The left operand is copied into
-    the product's order a slab of its first axis at a time, so a strided view
-    is never copied whole, and the products of slabs along an axis they sum
-    over accumulate. Returns the cells of every temporary this makes and a
+    the product's order a slab of one axis at a time, so a strided view is
+    never copied whole, and the products of slabs along an axis they sum over
+    accumulate. Returns the cells of every temporary this makes and a
     function that runs it on such arrays, writing the result into ``out``.
     """
 
     def cells(ax: Sequence[int]) -> int:
         return math.prod(length[a] for a in ax)
 
-    # kept axes go longest first, so that a slab along the first is small
-    def longest(ax: Iterable[int]) -> list[int]:
-        return sorted(ax, key=lambda a: -length[a])
-
     def pair(acc: list[int], i: int) -> tuple:
         b_in = operands[i]
         needed = set(final).union(*(operands[r] for r in rest if r != i))
         a_ax = [a for a in acc if a in b_in or a in needed]
         b_ax = [b for b in b_in if b in acc or b in needed]
-        batch = longest(a for a in a_ax if a in b_ax and a in needed)
-        left = longest(a for a in a_ax if a not in b_ax)
+        batch = [a for a in a_ax if a in b_ax and a in needed]
+        left = [a for a in a_ax if a not in b_ax]
         inner = [b for b in b_ax if b in a_ax and b not in needed]
         right = [b for b in b_ax if b not in a_ax]
-        result = batch + left + right
-        return cells(result), i, a_ax, b_ax, batch, left, inner, right, result
+        return cells(batch + left + right), i, a_ax, b_ax, batch, left, inner, right
 
     steps, temps, acc, rest = [], 0, list(operands[0]), list(range(1, len(operands)))
     while rest:
-        size, i, a_ax, b_ax, batch, left, inner, right, result = min(pair(acc, i) for i in rest)
+        size, i, a_ax, b_ax, batch, left, inner, right = min(pair(acc, i) for i in rest)
         rest.remove(i)
-        # slabs run along the left operand's first axis: also the right
-        # operand's unless it is a left axis, and the result's unless summed
-        first, a_size, b_size = (batch + left + inner)[0], cells(a_ax), cells(b_ax)
-        rows = min(length[first], max(1, _SLAB_CELLS * length[first] // a_size))
+        # slabs run along the left operand's longest kept axis, else its
+        # longest summed one, which goes first in its group; neither a slab's
+        # copy nor its product is over _SLAB_CELLS but for one slab
+        slab = max(batch + left or inner, key=length.__getitem__)
+        batch, left, inner = ([slab] + [a for a in g if a != slab] if slab in g else g
+                              for g in (batch, left, inner))
+        a_size, b_size, n = cells(a_ax), cells(b_ax), length[slab]
+        product_row = 0 if slab in inner else size // n
+        rows = min(n, max(1, _SLAB_CELLS // max(a_size // n, product_row)))
         # the operands with unneeded axes summed, the left one's slab copy,
         # the right one in the product's order, each slab's product and a
         # result not written into `out`
         temps += (
-            (a_ax != acc) * a_size + (b_ax != operands[i]) * b_size
-            + a_size // length[first] * rows
-            + (b_ax != batch + inner + right) * b_size
-            + (size // length[first] * rows if first in result else size)
+            (a_ax != acc) * a_size + (b_ax != operands[i]) * b_size + a_size // n * rows
+            + (b_ax != batch + inner + right) * b_size + (product_row * rows or size)
             + bool(rest) * size
         )
-        steps.append((acc, i, a_ax, b_ax, batch, left, inner, right, rows))
-        acc = result
+        steps.append((acc, i, a_ax, b_ax, batch, left, inner, right, slab, rows))
+        acc = batch + left + right
     kept = [a for a in acc if a in final]
     temps += (kept != acc) * cells(kept)
 
     def run(arrays: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
         x = arrays[0]
-        for x_in, i, a_ax, b_ax, batch, left, inner, right, rows in steps:
+        for x_in, i, a_ax, b_ax, batch, left, inner, right, slab, rows in steps:
             x, b = _sum_except(x, x_in, a_ax), _sum_except(arrays[i], operands[i], b_ax)
             lhs = x.transpose([a_ax.index(a) for a in batch + left + inner])
             rhs = np.ascontiguousarray(b.transpose([b_ax.index(a) for a in batch + inner + right]))
             result = batch + left + right
             x = (out.transpose([final.index(a) for a in result]) if i == steps[-1][1]
                  else np.empty([length[a] for a in result]))
-            scratch = np.empty(lhs[:rows].size)
             nb, nl, ni = len(batch), len(left), len(inner)
-            for lo in range(0, lhs.shape[0], rows):
-                piece, part = lhs[lo:lo + rows], rhs[lo:lo + rows] if nb or not nl else rhs
+            # the slab axis is at `at` in the left operand and the result, and
+            # first in the right operand unless it is a left axis
+            at = nb if slab in left else 0
+            scratch = np.empty(lhs.size // length[slab] * rows)
+            for lo in range(0, length[slab], rows):
+                cut = (slice(None),) * at + (slice(lo, lo + rows),)
+                piece, part = lhs[cut], rhs if slab in left else rhs[cut[at:]]
                 if not piece.flags.c_contiguous:
                     copy = scratch[:piece.size].reshape(piece.shape)
                     np.copyto(copy, piece)
                     piece = copy
                 product = np.matmul(_grouped(piece, nb, nl), _grouped(part, nb, ni))
                 product = product.reshape(piece.shape[:nb + nl] + part.shape[nb + ni:])
-                if nb or nl:
-                    x[lo:lo + rows] = product
+                if slab not in inner:
+                    x[cut] = product
                 elif lo:
                     x += product
                 else:
