@@ -195,8 +195,10 @@ def _chain_binomial(
     labels = [a for t in range(k) for a in (2 * t, 2 * t + 1)]
     view = [s for t in range(k) for s in (stride[2 * t] + stride[2 * k + t], -stride[2 * t])]
 
-    # The contractions into the counts after one round, or else the last
-    # round's and a middle round's; only one runs at a time
+    # The contractions, as pairwise matrix products that read the start view
+    # a slab at a time: into the counts after one round, or else the last
+    # round's and a middle round's; only one runs at a time, so the larger
+    # of their temporaries is reserved
     if rounds == 1:
         temps, last = _pairwise(read, out, length)
     else:
