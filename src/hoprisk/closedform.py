@@ -22,14 +22,13 @@ is the direct hits, so it needs no front axes; at depth 1 it contracts
 straight into the counts. Deeper, round 1 is a plain product into (count
 before, count after) per class, and every later round starts from a strided
 view of the last result that reads it as (count, front). A round contracts
-that view with the tables two arrays at a time, each pair as one batched
-matrix product, and sums an axis as soon as nothing left needs it; a middle
-round ends in the next (count before, count after), the last in the counts.
-The view is copied into a product's order a slab at a time, through a
-buffer of at most 2^18 cells or one slab, so neither the state nor its shear
-is ever copied whole. The tables, the results and every temporary of a
-round, counted from the shapes, are reserved in the exact engine's cell
-budget before anything is allocated; networks above it raise
+that view with the tables two arrays at a time, each pair as one
+``np.einsum`` that reads its operands in place, and sums an axis as soon as
+nothing left needs it; a middle round ends in the next (count before, count
+after), the last in the counts. So neither the state nor its shear is ever
+copied. The tables, the results, a round's intermediates and einsum's
+iterator buffers, counted from the shapes, are reserved in the exact
+engine's cell budget before anything is allocated; networks above it raise
 :class:`ExactEngineCapError`.
 """
 
@@ -45,10 +44,6 @@ import numpy as np
 
 from .exact import _reserve
 from .pmf import JointPmf
-
-# cells of the buffer through which a contraction copies its left operand,
-# a slab at a time
-_SLAB_CELLS = 1 << 18
 
 __all__ = [
     "CompleteHomogParams",
@@ -195,8 +190,8 @@ def _chain_binomial(
     labels = [a for t in range(k) for a in (2 * t, 2 * t + 1)]
     view = [s for t in range(k) for s in (stride[2 * t] + stride[2 * k + t], -stride[2 * t])]
 
-    # The contractions, as pairwise matrix products that read the start view
-    # a slab at a time: into the counts after one round, or else the last
+    # The contractions, as chains of two-operand einsums that read the start
+    # view in place: into the counts after one round, or else the last
     # round's and a middle round's; only one runs at a time, so the larger
     # of their temporaries is reserved
     if rounds == 1:
@@ -207,7 +202,7 @@ def _chain_binomial(
             middle_temps, middle = _pairwise([labels] + axes, pairs, length)
             temps = max(temps, middle_temps)
     # a middle round writes its result over the one it starts from if its
-    # first product, which reads all of that one, is not its last
+    # first pair, which reads all of that one, is not its last
     results = 0 if rounds == 1 else 1 if rounds == 2 or k > 1 else 2
     # held: the tables and their reads, a round's temporaries, the counts
     # and the results with their zeros
@@ -252,102 +247,49 @@ def _pairwise(
     """Plan the contraction of arrays with axes ``operands`` (axis a of
     length ``length[a]``) into one with axes ``final``.
 
-    The first operand is multiplied by another, the result by another and so
-    on, each pair as one batched matrix product: axes both keep are the
-    batch, axes both sum over are the inner dimension. The next operand is
-    the one whose product is smallest, and an axis is summed as soon as no
-    operand left and not ``final`` has it. The left operand is copied into
-    the product's order a slab of one axis at a time, so a strided view is
-    never copied whole, and the products of slabs along an axis they sum over
-    accumulate. Returns the cells of every temporary this makes and a
-    function that runs it on such arrays, writing the result into ``out``.
+    The first operand is contracted with another, the result with another
+    and so on, each pair as one ``np.einsum`` that plans nothing and reads
+    its operands in place, however strided. The next operand is the one
+    whose result is smallest, and an axis is summed as soon as no operand
+    left and not ``final`` has it. Returns the cells this holds besides its
+    operands and ``out`` (its intermediate results and einsum's iterator
+    buffers) and a function that runs it on such arrays, writing the result
+    into ``out``.
     """
 
     def cells(ax: Sequence[int]) -> int:
         return math.prod(length[a] for a in ax)
 
-    def pair(acc: list[int], i: int) -> tuple:
-        b_in = operands[i]
+    def result(acc: list[int], i: int) -> list[int]:
+        # the axes both have, then the rest of acc's and of operand i's: in
+        # this order einsum runs a single-class middle round at 201 cells a
+        # side several times as fast as in acc's
         needed = set(final).union(*(operands[r] for r in rest if r != i))
-        a_ax = [a for a in acc if a in b_in or a in needed]
-        b_ax = [b for b in b_in if b in acc or b in needed]
-        batch = [a for a in a_ax if a in b_ax and a in needed]
-        left = [a for a in a_ax if a not in b_ax]
-        inner = [b for b in b_ax if b in a_ax and b not in needed]
-        right = [b for b in b_ax if b not in a_ax]
-        return cells(batch + left + right), i, a_ax, b_ax, batch, left, inner, right
+        ax = sorted(acc, key=lambda a: a not in operands[i])
+        return [a for a in ax + [b for b in operands[i] if b not in acc] if a in needed]
 
-    steps, temps, acc, rest = [], 0, list(operands[0]), list(range(1, len(operands)))
+    steps, acc, rest = [], list(operands[0]), list(range(1, len(operands)))
     while rest:
-        size, i, a_ax, b_ax, batch, left, inner, right = min(pair(acc, i) for i in rest)
+        i = min(rest, key=lambda i: cells(result(acc, i)))
+        acc = result(acc, i)
         rest.remove(i)
-        # slabs run along the left operand's longest kept axis, else its
-        # longest summed one, which goes first in its group; neither a slab's
-        # copy nor its product is over _SLAB_CELLS but for one slab
-        slab = max(batch + left or inner, key=length.__getitem__)
-        batch, left, inner = ([slab] + [a for a in g if a != slab] if slab in g else g
-                              for g in (batch, left, inner))
-        a_size, b_size, n = cells(a_ax), cells(b_ax), length[slab]
-        product_row = 0 if slab in inner else size // n
-        rows = min(n, max(1, _SLAB_CELLS // max(a_size // n, product_row)))
-        # the operands with unneeded axes summed, the left one's slab copy,
-        # the right one in the product's order, each slab's product and a
-        # result not written into `out`
-        temps += (
-            (a_ax != acc) * a_size + (b_ax != operands[i]) * b_size + a_size // n * rows
-            + (b_ax != batch + inner + right) * b_size + (product_row * rows or size)
-            + bool(rest) * size
-        )
-        steps.append((acc, i, a_ax, b_ax, batch, left, inner, right, slab, rows))
-        acc = batch + left + right
-    kept = [a for a in acc if a in final]
-    temps += (kept != acc) * cells(kept)
+        steps.append((i, acc))
+    # a buffer of np.getbufsize() cells for each operand and the output
+    temps = sum(cells(ax) for _, ax in steps[:-1]) + 3 * np.getbufsize()
 
     def run(arrays: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
-        x = arrays[0]
-        for x_in, i, a_ax, b_ax, batch, left, inner, right, slab, rows in steps:
-            x, b = _sum_except(x, x_in, a_ax), _sum_except(arrays[i], operands[i], b_ax)
-            lhs = x.transpose([a_ax.index(a) for a in batch + left + inner])
-            rhs = np.ascontiguousarray(b.transpose([b_ax.index(a) for a in batch + inner + right]))
-            result = batch + left + right
-            x = (out.transpose([final.index(a) for a in result]) if i == steps[-1][1]
-                 else np.empty([length[a] for a in result]))
-            nb, nl, ni = len(batch), len(left), len(inner)
-            # the slab axis is at `at` in the left operand and the result, and
-            # first in the right operand unless it is a left axis
-            at = nb if slab in left else 0
-            scratch = np.empty(lhs.size // length[slab] * rows)
-            for lo in range(0, length[slab], rows):
-                cut = (slice(None),) * at + (slice(lo, lo + rows),)
-                piece, part = lhs[cut], rhs if slab in left else rhs[cut[at:]]
-                if not piece.flags.c_contiguous:
-                    copy = scratch[:piece.size].reshape(piece.shape)
-                    np.copyto(copy, piece)
-                    piece = copy
-                product = np.matmul(_grouped(piece, nb, nl), _grouped(part, nb, ni))
-                product = product.reshape(piece.shape[:nb + nl] + part.shape[nb + ni:])
-                if slab not in inner:
-                    x[cut] = product
-                elif lo:
-                    x += product
-                else:
-                    x[...] = product
+        x, x_ax = arrays[0], operands[0]
         if not steps:
-            out[...] = _sum_except(x, acc, kept).transpose([kept.index(a) for a in final])
+            return np.einsum(x, x_ax, final, out=out, optimize=False)
+        for i, ax in steps:
+            # the last pair writes into out, seen in the pair's axis order, which
+            # sets einsum's loop order as above
+            dest = (out.transpose([final.index(a) for a in ax]) if i == steps[-1][0]
+                    else np.empty([length[a] for a in ax]))
+            x, x_ax = np.einsum(x, x_ax, arrays[i], operands[i], ax, out=dest, optimize=False), ax
         return out
 
     return temps, run
-
-
-def _sum_except(x: np.ndarray, axes: Sequence[int], kept: Sequence[int]) -> np.ndarray:
-    """``x``, with axes ``axes``, summed over those not in ``kept``."""
-    gone = tuple(i for i, a in enumerate(axes) if a not in kept)
-    return x.sum(axis=gone) if gone else x
-
-
-def _grouped(x: np.ndarray, i: int, j: int) -> np.ndarray:
-    """``x`` as three axes: its axes before i, from i to i + j, and after."""
-    return x.reshape(math.prod(x.shape[:i]), math.prod(x.shape[i:i + j]), -1)
 
 
 def r_complete(u: int, c: int, d: int, depth: int, *, q: float) -> float:

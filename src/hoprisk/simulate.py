@@ -30,6 +30,7 @@ depth variants at one seed are coupled (common random numbers).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -109,6 +110,8 @@ class SampleMatrix:
 
     def at_depth(self, depth: int) -> np.ndarray:
         """K x M count matrix at one depth (1-based)."""
+        # operator.index refuses a depth that is not an integer
+        depth = operator.index(depth)
         if not 1 <= depth <= self.depth:
             raise ValueError(f"depth must be in 1..{self.depth}")
         return self.counts[:, depth - 1, :]

@@ -20,6 +20,7 @@ than silently zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -337,6 +338,8 @@ def check_orthant_monotone(
     """
     if pmf_lo.dims != pmf_hi.dims:
         raise ValueError(f"dimension mismatch: {pmf_lo.dims} vs {pmf_hi.dims}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     surv_gap = _survival_grid(pmf_lo.probs) - _survival_grid(pmf_hi.probs)
     cdf_gap = _cdf_grid(pmf_hi.probs) - _cdf_grid(pmf_lo.probs)
     violations: list[OrderViolation] = []

@@ -218,7 +218,7 @@ def test_paper_size_bipartite_at_depth_two_holds_one_state():
     assert abs(deeper.probs.sum() - 1) < 1e-9
     assert check_orthant_monotone(bipartite_pmf(params, 20, 180), deeper).passed
     # the budget holds one (compromised, front) state of 21^2 * 181^2
-    # doubles, 110 MiB, which the next round reads a slab at a time
+    # doubles, 110 MiB, which the next round reads in place
     assert peak < 8 << 24
 
 
@@ -355,7 +355,7 @@ def test_nothing_is_allocated_past_the_reserved_cells(monkeypatch):
         lambda depth: complete_homog_pmf(CompleteHomogParams((5, 45), 0.05, 0.01, depth)),
     ]
     # the paper's size at depth 2 is accepted: its (compromised, front) state
-    # is read a slab at a time, never copied whole
+    # is read in place, never copied
     runs = [(call, depth) for call in calls for depth in range(1, 5)]
     runs.append((lambda depth: bipartite_pmf(two, 20, 180, depth), 2))
     for call, depth in runs:
@@ -370,20 +370,36 @@ def test_nothing_is_allocated_past_the_reserved_cells(monkeypatch):
         assert peak <= 8 * reserved[0] + (1 << 16)
 
 
-def test_contractions_read_one_row_per_slab_to_the_same_counts(monkeypatch):
+def _one_einsum(operands, final, length):
+    """A plan that contracts all of a round's operands in one einsum into a
+    fresh array, then copies that into ``out``."""
+
+    def run(arrays, out):
+        pairs = [x for array, axes in zip(arrays, operands) for x in (array, axes)]
+        out[...] = np.einsum(*pairs, final, optimize=False)
+        return out
+
+    return 0, run
+
+
+def test_pairwise_plan_gives_the_counts_of_one_einsum(monkeypatch):
     rng = np.random.default_rng(7)
     cases = []
     for _ in range(60):
         k = int(rng.integers(1, 4))
-        sizes = tuple(int(n) for n in rng.integers(1, 6 if k < 3 else 4, size=k))
+        sizes = tuple(int(n) for n in rng.integers(1, 6, size=k))
         q = (rng.uniform(0.05, 0.6, size=(k, k)) * (rng.random((k, k)) < 0.6)).tolist()
-        starts = [_binom_start(n, rng.random()) for n in sizes]
-        cases.append((sizes, starts, q, int(rng.integers(1, 5))))
-    whole = [_chain_binomial(*case) for case in cases]
-    # every slab one row: slabs along kept axes fill the result piece by
-    # piece, slabs along summed axes accumulate
-    monkeypatch.setattr(closedform, "_SLAB_CELLS", 1)
-    for case, probs in zip(cases, whole):
+        starts = [np.eye(n + 1)[rng.integers(n + 1)] if rng.random() < 0.3
+                  else _binom_start(n, rng.random()) for n in sizes]
+        cases.append((sizes, starts, q, int(rng.integers(1, 6))))
+    # zeros in q, self-hitting classes, and middle rounds that write over
+    # their own start, which takes more than one class and depth 3
+    assert any(0.0 in np.ravel(q) for _, _, q, _ in cases)
+    assert any(q[t][t] > 0 for _, _, q, _ in cases for t in range(len(q)))
+    assert any(len(sizes) > 1 and depth >= 3 for sizes, _, _, depth in cases)
+    planned = [_chain_binomial(*case) for case in cases]
+    monkeypatch.setattr(closedform, "_pairwise", _one_einsum)
+    for case, probs in zip(cases, planned):
         assert_allclose(_chain_binomial(*case), probs, rtol=0, atol=1e-15)
 
 

@@ -13,6 +13,8 @@ from hoprisk import (
     empirical_pmf,
     generate_ba,
     joint_pmf,
+    marginal_moments,
+    pairwise_correlations,
     simulate_runs,
     single_run,
     with_type_probabilities,
@@ -262,6 +264,18 @@ def test_empirical_pmf_hand_built_uniform():
     pmf = empirical_pmf(sm, 1)
     assert pmf.probs[0, 0] == 0.5
     assert pmf.probs[2, 3] == 0.5
+
+
+@pytest.mark.parametrize("read", [
+    SampleMatrix.at_depth, marginal_moments, pairwise_correlations, empirical_pmf,
+])
+def test_a_depth_that_is_not_an_integer_is_refused_by_name(read):
+    counts = np.arange(24, dtype=np.int64).reshape(4, 3, 2) % 3
+    sm = SampleMatrix(counts=counts, depth=3, master_seed=None, type_sizes=(2, 2))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        read(sm, 1.5)
+    # a numpy integer is an integer
+    read(sm, np.int64(2))
 
 
 @pytest.mark.parametrize("shape, depth", [((3, 2, 2), 5), ((3, 2, 2), 1), ((3, 2), 2)])

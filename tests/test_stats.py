@@ -249,6 +249,19 @@ def test_order_check_dimension_mismatch(example_net):
         check_orthant_monotone(a, b)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_order_check_refuses_a_tolerance_that_is_not_finite_and_nonnegative(example_net, tol):
+    pmf = joint_pmf(example_net, 1)
+    with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol}"):
+        check_orthant_monotone(pmf, pmf, tol=tol)
+
+
+def test_order_check_accepts_a_zero_tolerance(example_net):
+    pmf = joint_pmf(example_net, 1)
+    report = check_orthant_monotone(pmf, pmf, tol=0.0)
+    assert report.passed and report.tolerance == 0.0
+
+
 def _bump_p(net, delta, rng):
     from dataclasses import replace
 
