@@ -14,22 +14,19 @@ so these are exact fast paths, not approximations; the test suite checks them
 against the general engine.
 
 Each class has one read-out table: the distribution of its count after a
-round, given its count and the fronts that hit it. A class that hits itself
-fills its table only where its own front is at most its count and the count
-after is at least it, the triangle a chain can reach: the other cells only
-ever meet zero mass. Round 1 reads each front at its count, since the front
-is the direct hits, so it needs no front axes; at depth 1 it contracts
-straight into the counts. Deeper, round 1 is a plain product into (count
-before, count after) per class, and every later round starts from a strided
-view of the last result that reads it as (count, front). A round contracts
-that view with the tables two arrays at a time, each pair as one
-``np.einsum`` that reads its operands in place, and sums an axis as soon as
-nothing left needs it; a middle round ends in the next (count before, count
-after), the last in the counts. So neither the state nor its shear is ever
-copied. The tables, the results, a round's intermediates and einsum's
-iterator buffers, counted from the shapes, are reserved in the exact
-engine's cell budget before anything is allocated; networks above it raise
-:class:`ExactEngineCapError`.
+round, given its count and the fronts that hit it. Round 1 reads each front
+at its count, since the front is the direct hits, so it needs no front axes;
+at depth 1 it contracts straight into the counts. Deeper, round 1 is a plain
+product into (count before, count after) per class, and every later round
+starts from a strided view of the last result that reads it as (count,
+front). A round contracts that view with the tables two arrays at a time,
+each pair as one ``np.einsum`` that reads its operands in place, and sums an
+axis as soon as nothing left needs it; a middle round ends in the next
+(count before, count after), the last in the counts. So neither the state
+nor its shear is ever copied. The tables, the results, a round's
+intermediates and einsum's iterator buffers, counted from the shapes, are
+reserved in the exact engine's cell budget before anything is allocated;
+networks above it raise :class:`ExactEngineCapError`.
 """
 
 from __future__ import annotations
@@ -95,18 +92,15 @@ class TwoClassParams:
                 raise ValueError(f"probability out of [0, 1]: {val}")
 
 
-def _readout_table(n: int, h: np.ndarray | float, own: int | None = None) -> np.ndarray:
+def _readout_table(n: int, h: np.ndarray | float) -> np.ndarray:
     """``out[c, ..., x]`` = P(c + Binomial(n - c, h) = x) for c, x in 0..n,
     any shape of h: the count after a round that starts from c of n nodes
     compromised and hits each intact node with probability h.
 
     Row c is row c + 1 with one more trial, so no large binomial
-    coefficients appear and h = 0 or 1 gives exact point masses. If axis
-    ``own`` of h is the class's own front f, row c is filled only where
-    f <= c and x >= c, the cells a chain can reach; the rest stay 0.
+    coefficients appear and h = 0 or 1 gives exact point masses.
     """
     h = np.asarray(h, dtype=float)[..., None]
-    miss = 1.0 - h
     shape = (n + 1,) + h.shape[:-1] + (n + 1,)
     # one zero past the table: row c + 1 at x = 0 is 0 for every c, so row
     # c + 1 read at x + 1 reads 0 past its end
@@ -115,33 +109,37 @@ def _readout_table(n: int, h: np.ndarray | float, own: int | None = None) -> np.
     out[n, ..., n] = 1.0
     # row c has one more intact node: hit, the count is row c + 1's at x;
     # missed, it is at x + 1
-    if own is None:
-        both, terms = np.array([h, miss]), np.empty((2,) + shape[1:])
-        at_x_and_next = np.ndarray((n + 1,) + terms.shape, buffer=flat,
-                                   strides=out.strides[:1] + (flat.itemsize,) + out.strides[1:])
-        for c in range(n - 1, -1, -1):
-            np.multiply(both, at_x_and_next[c + 1], out=terms)
-            np.add(terms[0], terms[1], out=out[c])
-        return out
+    both, terms = np.array([h, 1.0 - h]), np.empty((2,) + shape[1:])
+    at_x_and_next = np.ndarray((n + 1,) + terms.shape, buffer=flat,
+                               strides=out.strides[:1] + (flat.itemsize,) + out.strides[1:])
     for c in range(n - 1, -1, -1):
-        front = (slice(None),) * own + (slice(c + 1),)
-        row, nxt = out[c][front][..., c:], out[c + 1][front][..., c:]
-        np.multiply(h[front], nxt, out=row)
-        row[..., :-1] += miss[front] * nxt[..., 1:]
+        np.multiply(both, at_x_and_next[c + 1], out=terms)
+        np.add(terms[0], terms[1], out=out[c])
     return out
 
 
 def _binom_start(n: int, p: float) -> np.ndarray:
     """``out[k]`` = P(Binomial(n, p) = k), as the n-fold convolution of
     ``[1 - p, p]`` by repeated squaring: O(log n) convolutions, exact point
-    masses at p = 0 or 1."""
+    masses at p = 0 or 1.
+
+    Each convolution is one ``np.einsum`` over a sliding window of the
+    zero-padded operand, so numpy sums it, not BLAS (``np.convolve`` calls
+    ``ddot``), and its bytes do not depend on the host's BLAS kernel."""
+
+    def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        padded = np.concatenate([np.zeros(len(b) - 1), a, np.zeros(len(b) - 1)])
+        window = np.ndarray((len(a) + len(b) - 1, len(b)), buffer=padded,
+                            strides=2 * padded.strides)
+        return np.einsum("ij,j->i", window, b[::-1], optimize=False)
+
     out, power = np.ones(1), np.array([1.0 - p, p])
     while n:
         if n & 1:
-            out = np.convolve(out, power)
+            out = convolve(out, power)
         n >>= 1
         if n:
-            power = np.convolve(power, power)
+            power = convolve(power, power)
     return out
 
 
@@ -216,10 +214,7 @@ def _chain_binomial(
     for t, n in enumerate(sizes):
         grids = np.ix_(*(np.arange(sizes[s] + 1) for s in hitters[t]))
         miss = reduce(np.multiply, ((1.0 - q[s][t]) ** g for s, g in zip(hitters[t], grids)), 1.0)
-        # the view reads zeros where a front is above its count, and round 1
-        # reads the diagonal, so a class that hits itself needs only f <= c
-        own = hitters[t].index(t) if q[t][t] > 0.0 else None
-        tables.append(_readout_table(n, 1.0 - miss, own))
+        tables.append(_readout_table(n, 1.0 - miss))
     # each table weighted by its class's start, read at the direct hits
     reads = [np.einsum(starts[t], [2 * t], tables[t], direct[t], read[t]) for t in range(k)]
     counts = np.empty([length[a] for a in out])

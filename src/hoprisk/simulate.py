@@ -133,7 +133,7 @@ class SampleMatrix:
         counts = _read_grid(source, "sample", ["run", "depth"], None, 1, np.int64)
         path = _path(source)
         m = counts.shape[2]
-        sizes = tuple(int(s) for s in type_sizes) if type_sizes is not None else None
+        sizes = tuple(operator.index(s) for s in type_sizes) if type_sizes is not None else None
         if sizes is not None and len(sizes) != m:
             raise ValueError(f"{path}: {m} count columns but {len(sizes)} type sizes")
         if sizes is not None and (counts > np.array(sizes)).any():
@@ -288,7 +288,7 @@ def empirical_pmf(
     if len(sizes) != samples.num_types:
         raise ValueError(f"{len(sizes)} type sizes for {samples.num_types} types")
     block = samples.at_depth(depth)
-    dims = tuple(int(s) + 1 for s in sizes)
+    dims = tuple(operator.index(s) + 1 for s in sizes)
     try:
         cells = np.ravel_multi_index(block.T, dims)
     except ValueError:

@@ -21,6 +21,7 @@ than silently zero.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -254,7 +255,8 @@ def pairwise_correlations(
 
 
 def _check_point(pmf: JointPmf, point: Sequence[int]) -> tuple[int, ...]:
-    pt = tuple(int(v) for v in point)
+    # operator.index refuses a coordinate that is not an integer
+    pt = tuple(operator.index(v) for v in point)
     if len(pt) != pmf.num_types:
         raise ValueError(f"point has {len(pt)} coordinates, PMF has {pmf.num_types}")
     return pt

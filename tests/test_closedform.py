@@ -1,3 +1,7 @@
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -276,9 +280,9 @@ def test_three_classes_match_the_exact_engine():
                         joint_pmf(net, depth).probs, rtol=0, atol=1e-12)
 
 
-def _dense_readout_table(n, h, own=None):
-    """Every cell of the read-out table, by the engine's row recurrence,
-    whatever ``own`` says: the reference for the cells a chain reaches."""
+def _dense_readout_table(n, h):
+    """Every cell of the read-out table, by the row recurrence on whole rows:
+    the reference for the engine's strided fill."""
     h = np.asarray(h, dtype=float)[..., None]
     miss = 1.0 - h
     out = np.zeros((n + 1,) + h.shape[:-1] + (n + 1,))
@@ -290,7 +294,7 @@ def _dense_readout_table(n, h, own=None):
 
 
 @pytest.mark.parametrize("hitters", [1, 2, 3])
-def test_readout_table_of_a_self_hitting_class_fills_its_triangle(hitters):
+def test_readout_table_gives_the_bytes_of_the_row_recurrence(hitters):
     rng = np.random.default_rng(hitters)
     for n in range(13):
         for own in range(hitters):
@@ -298,13 +302,10 @@ def test_readout_table_of_a_self_hitting_class_fills_its_triangle(hitters):
             shape[own] = n + 1
             # exact 0s and 1s among the hit probabilities
             h = rng.choice([0.0, 1.0, *rng.random(6)], size=shape)
-            got = closedform._readout_table(n, h, own)
+            got = closedform._readout_table(n, h)
             want = _dense_readout_table(n, h)
-            index = np.indices(got.shape, sparse=True)
-            c, f, x = index[0], index[1 + own], index[-1]
-            reach = np.broadcast_to((f <= c) & (c <= x), got.shape)
-            assert got[reach].tobytes() == want[reach].tobytes()
-            assert not got[~reach].any()
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_chain_binomial_gives_the_bytes_of_the_dense_tables(monkeypatch):
@@ -333,6 +334,34 @@ def test_paper_size_complete_graph_gives_the_bytes_of_the_dense_table(monkeypatc
     got = complete_homog_pmf(params).probs
     monkeypatch.setattr(closedform, "_readout_table", _dense_readout_table)
     assert got.tobytes() == complete_homog_pmf(params).probs.tobytes()
+
+
+# the starts and the closed forms at the benchmark's and the paper's sizes
+_DIGESTS = """
+import hashlib
+import hoprisk
+from hoprisk.closedform import _binom_start
+two = hoprisk.TwoClassParams(0.05, 0.15, 0.2, 0.3)
+arrays = [_binom_start(n, 0.05) for n in (20, 180, 200)] + [
+    hoprisk.complete_homog_pmf(hoprisk.CompleteHomogParams(sizes, 0.05, 0.01, 2)).probs
+    for sizes in ((5, 45), (20, 180))] + [
+    hoprisk.bipartite_pmf(two, 20, 180, 1).probs, hoprisk.star_pmf(two, 200, 2).probs]
+digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86-64 BLAS kernel")
+def test_closed_forms_give_the_same_bytes_under_another_blas_kernel():
+    here = {}
+    exec(_DIGESTS, here)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(closedform.__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", _DIGESTS + "print(*digests)"], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == here["digests"]
 
 
 def test_nothing_is_allocated_past_the_reserved_cells(monkeypatch):

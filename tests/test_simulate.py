@@ -405,6 +405,26 @@ def test_sample_csv_checks_counts_against_type_sizes(tmp_path, sizes, match):
     assert SampleMatrix.from_csv(str(path), type_sizes=(9,)).type_sizes == (9,)
 
 
+@pytest.mark.parametrize("size", [2.5, "2"])
+def test_sample_csv_refuses_a_type_size_that_is_not_an_integer(tmp_path, size):
+    path = tmp_path / "samples.csv"
+    path.write_text("run,depth,x_1,x_2\n1,1,1,2\n")
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        SampleMatrix.from_csv(str(path), type_sizes=(size, 3))
+    # a numpy integer is an integer
+    assert SampleMatrix.from_csv(str(path), type_sizes=(np.int64(2), 3)).type_sizes == (2, 3)
+
+
+@pytest.mark.parametrize("size", [2.5, "2"])
+def test_empirical_pmf_refuses_a_type_size_that_is_not_an_integer(size):
+    counts = np.array([[[1, 2]]], dtype=np.int64)
+    sm = SampleMatrix(counts=counts, depth=1, master_seed=None, type_sizes=None)
+    # read with int(), 2.5 gave dims (3, 4)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        empirical_pmf(sm, 1, type_sizes=(size, 3))
+    assert empirical_pmf(sm, 1, type_sizes=(np.int64(2), 3)).dims == (3, 4)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_pmf_rejects_non_finite_probabilities(tmp_path, bad):
     with pytest.raises(ValueError, match="finite"):

@@ -209,6 +209,20 @@ def test_survival_examples(table_pmf):
     assert lower_orthant_cdf(table_pmf, (0, 0)) == pytest.approx(0.3277)
 
 
+@pytest.mark.parametrize("query, point", [
+    # read with int(), -0.5 became 0: 0.5477 and 0.4392 where the answers are 0 and 1
+    (lower_orthant_cdf, (-0.5, 2)),
+    (upper_orthant_survival, (-0.5, -1)),
+    (lower_orthant_cdf, ("1", 1)),
+])
+def test_orthant_queries_refuse_a_coordinate_that_is_not_an_integer(query, point):
+    pmf = joint_pmf(complete_network([2, 3], 0.2, 0.1), 2)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        query(pmf, point)
+    # a numpy integer is an integer
+    assert query(pmf, (np.int64(-1), 3)) == query(pmf, (-1, 3))
+
+
 def test_survival_monotone_in_threshold(table_pmf):
     for x1 in range(-1, 3):
         for x2 in range(-1, 4):
