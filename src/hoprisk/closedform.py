@@ -128,7 +128,8 @@ def _binom_start(n: int, p: float) -> np.ndarray:
     ``ddot``), and its bytes do not depend on the host's BLAS kernel."""
 
     def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        padded = np.concatenate([np.zeros(len(b) - 1), a, np.zeros(len(b) - 1)])
+        padded = np.zeros(len(a) + 2 * (len(b) - 1))
+        padded[len(b) - 1 : len(b) - 1 + len(a)] = a
         window = np.ndarray((len(a) + len(b) - 1, len(b)), buffer=padded,
                             strides=2 * padded.strides)
         return np.einsum("ij,j->i", window, b[::-1], optimize=False)

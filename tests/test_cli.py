@@ -11,6 +11,7 @@ import pytest
 
 from hoprisk import JointPmf, load_json, save_json
 from hoprisk.cli import main
+from hoprisk.pmf import _write_bytes
 
 from tables import SCORE_RULES_JSON, TABLE_GRIDS
 
@@ -338,6 +339,79 @@ def test_commands_open_each_file_once_and_hash_what_they_write(tmp_path, k5_path
     for path, digest in outputs.items():
         with open(path, "rb") as fh:
             assert digest == "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+
+
+def _sha256(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def test_a_shorter_rewrite_leaves_no_old_tail(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * 100)
+    assert _write_bytes(str(path), [b"abc", b"def"]) == _sha256(b"abcdef")
+    assert path.read_bytes() == b"abcdef"
+
+
+def test_a_write_that_stops_early_leaves_what_it_wrote(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * 100)
+
+    def chunks():
+        yield b"first\n"
+        raise RuntimeError("no second chunk")
+
+    with pytest.raises(RuntimeError, match="no second chunk"):
+        _write_bytes(str(path), chunks())
+    assert path.read_bytes() == b"first\n"
+
+
+def test_a_rewrite_keeps_links_and_permissions(tmp_path):
+    target, alias, hard = tmp_path / "target.csv", tmp_path / "alias.csv", tmp_path / "hard.csv"
+    target.write_bytes(b"x" * 100)
+    target.chmod(0o600)
+    alias.symlink_to(target)
+    os.link(target, hard)
+    inode = target.stat().st_ino
+    assert _write_bytes(str(alias), [b"new"]) == _sha256(b"new")
+    assert alias.is_symlink()
+    assert target.read_bytes() == hard.read_bytes() == b"new"
+    assert target.stat().st_ino == inode
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_a_device_is_written_but_not_cut():
+    assert _write_bytes("/dev/null", [b"abc"]) == _sha256(b"abc")
+
+
+def test_a_new_file_takes_its_mode_from_the_umask(tmp_path):
+    path = tmp_path / "new.csv"
+    old = os.umask(0o022)
+    try:
+        _write_bytes(str(path), [b"abc"])
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o644
+
+
+def test_a_rerun_with_fewer_runs_matches_a_fresh_run(tmp_path, example_net, monkeypatch):
+    # the second simulate writes a shorter sample file over the first one
+    def run(directory, runs):
+        directory.mkdir(exist_ok=True)
+        monkeypatch.chdir(directory)
+        save_json(example_net, "k5.json")
+        assert main(["simulate", "--network", "k5.json", "-L", "3", "-K", runs, "--seed", "5",
+                     "--out", "s.csv"]) == 0
+        assert main(["stats", "--in", "s.csv", "--out", "st"]) == 0
+        return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+    first_size = len(run(tmp_path / "rerun", "200")["s.csv"])
+    rerun = run(tmp_path / "rerun", "25")
+    fresh = run(tmp_path / "fresh", "25")
+    assert len(rerun["s.csv"]) < first_size
+    assert sorted(rerun) == ["k5.json", "s.csv", "s.csv.manifest.json", "st.correlations.csv",
+                             "st.manifest.json", "st.moments.csv"]
+    assert rerun == fresh
 
 
 def test_generate_command(tmp_path):
