@@ -18,6 +18,7 @@ from .exact import (
     ExactEngineCapError,
     event_prob,
     joint_pmf,
+    joint_pmfs,
     one_hop_prob,
     r_prob,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "r_prob",
     "event_prob",
     "joint_pmf",
+    "joint_pmfs",
     "ExactEngineCapError",
     "CompleteHomogParams",
     "TwoClassParams",

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .exact import _joint_pmfs, joint_pmf
+from .exact import joint_pmf, joint_pmfs
 from .network import (
     assign_types_by_degree,
     generate_ba,
@@ -31,7 +31,7 @@ from .network import (
     save_json,
     with_type_probabilities,
 )
-from .pmf import JointPmf, _write_bytes, _write_table
+from .pmf import JointPmf, _decoding, _write_bytes, _write_table
 from .scoring import parse_rules, score_distribution
 from .simulate import STREAM, SampleMatrix, simulate_runs
 from .stats import _depth_correlations, _depth_moments, check_orthant_monotone, marginal_moments
@@ -93,7 +93,7 @@ def _fmt(value: float | None) -> str:
 
 def cmd_stats(args: argparse.Namespace) -> dict[str, str]:
     # the header tells the two kinds apart; the input is opened once
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8") as fh, _decoding(args.input):
         header = fh.readline()
         fh.seek(0)
         if header.startswith("run,depth,"):
@@ -135,10 +135,9 @@ def cmd_stats(args: argparse.Namespace) -> dict[str, str]:
 
 def cmd_score(args: argparse.Namespace) -> dict[str, str]:
     pmf = JointPmf.from_csv(args.pmf)
-    with open(args.rules, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        rules = parse_rules(text)
+    try:  # a file that is not UTF-8 fails to decode with a ValueError too
+        with open(args.rules, "r", encoding="utf-8") as fh:
+            rules = parse_rules(fh.read())
     except ValueError as exc:
         raise ValueError(f"{args.rules}: {exc}") from exc
     dist = score_distribution(rules, pmf)
@@ -179,7 +178,7 @@ def cmd_order_check(args: argparse.Namespace) -> dict[str, str] | None:
         raise ValueError("depth must be >= 0")
     net = load_json(args.network)
     if args.depths:
-        pmfs = _joint_pmfs(net, args.depths)
+        pmfs = joint_pmfs(net, args.depths)
         reports = [check_orthant_monotone(pmfs[a], pmfs[b], args.tol, f"depth {a} <= depth {b}")
                    for a, b in zip(args.depths, args.depths[1:])]
     else:

@@ -24,19 +24,19 @@ target cells come from one exact float64 product of bit tables. A round is
 then one broadcast multiply, one matrix product and one scatter per chunk.
 The plan of the network solved last is kept, through a weak reference to
 that network, for separate calls on it at any depth, so at most one plan is
-held and it goes with its network. So does its pass, the mass after the
-last round played: a separate call on that network goes on from it when no
-depth it asks is below that round, and otherwise starts again from the
-direct attack. The arrays, the stored factors included, are checked against
-a fixed cell budget before allocating; that budget is the only limit, and
-it refuses networks above 14 nodes with :class:`ExactEngineCapError`. From
-13 nodes on, the factors of the chunks past the budget are computed in each
-round instead. A held plan and pass take the stored factors plus at most
-2 3^N + (N(N - 1)/4 + N + 3) 2^N cells for the mass, the layout and the
-1 - q arrays of the other chunks. The lumped engine in closedform and the
-table of stats.correlations share the budget through _reserve and its one
-rule: a request above the budget is refused, and any other request drops
-the held plan and pass.
+held and it goes with its network; its layout also serves a next network of
+its size. The mass is never kept: every call starts from the direct attack,
+and :func:`joint_pmfs` sweeps depths in one pass. The arrays, the stored
+factors included, are checked against a fixed cell budget before
+allocating; that budget is the only limit, and it refuses networks above 14
+nodes with :class:`ExactEngineCapError`. From 13 nodes on, the factors of
+the chunks past the budget are computed in each round instead. Between
+calls the held plan takes the stored factors plus at most
+3^N + (N(N - 1)/4 + N + 3) 2^N cells for the layout and the 1 - q arrays of
+the other chunks. The lumped engine in closedform and the table of
+stats.correlations share the budget through _reserve and its one rule: a
+request above the budget is refused, and any other request drops the held
+plan.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
     "r_prob",
     "event_prob",
     "joint_pmf",
+    "joint_pmfs",
 ]
 
 # float64 (or int64) cells an exact engine may hold at once (128 MiB); only
@@ -240,10 +241,9 @@ def _chunk_factors(net: NetworkModel, layout: _Layout) -> list[tuple | np.ndarra
     return factors
 
 
-# the network solved last, its layout, its chunks' factors and its pass: the
-# mass after the last round played (None before one starts) and that round's
-# number; dropped together with that network
-_last: tuple[weakref.ref, _Layout, list, np.ndarray | None, int] | None = None
+# the network solved last, its layout and its chunks' factors; dropped
+# together with that network
+_last: tuple[weakref.ref, _Layout, list] | None = None
 
 
 def _forget(ref: weakref.ref) -> None:
@@ -252,29 +252,29 @@ def _forget(ref: weakref.ref) -> None:
         _last = None
 
 
-def _plan(net: NetworkModel) -> tuple[weakref.ref, _Layout, list, np.ndarray | None, int]:
-    """The slot of ``net`` (its layout, chunk factors and pass), built once while
-    it is the network solved last; the layout is kept for a next network of its size."""
+def _plan(net: NetworkModel) -> tuple[_Layout, list]:
+    """The layout and chunk factors of ``net``, built once while it is the
+    network solved last; the layout is kept for a next network of its size."""
     global _last
     last = _last
     if last is not None and last[0]() is net:
-        return last
+        return last[1:]
     # drop the old factors (and a layout of another size) before building anew
     layout = last[1] if last is not None and last[1].n == net.n_nodes else None
     _last = last = None
     if layout is None:
         layout = _layout(net.n_nodes)
     factors = _chunk_factors(net, layout)
-    _last = last = (weakref.ref(net, _forget), layout, factors, None, 0)
-    return last
+    _last = (weakref.ref(net, _forget), layout, factors)
+    return layout, factors
 
 
 def _reserve(
     cells: int, what: str, advice: str = "; use the `simulate` command / simulate_runs() instead"
 ) -> None:
     """Before allocating ``cells`` cells: refuse them, naming ``what`` needs
-    them, if they are above the budget, and otherwise drop the held plan and
-    pass, so that they never sit beside them."""
+    them, if they are above the budget, and otherwise drop the held plan, so
+    that it never sits beside them."""
     global _last
     if cells > _MAX_CELLS:
         # an N-node exact engine asks for about 3^N cells, thousands of digits
@@ -289,16 +289,11 @@ def _reserve(
 def _set_probs(net: NetworkModel, depths: Sequence[int]) -> Iterator[np.ndarray]:
     """Yield, for each of the ascending ``depths``, ``out[C]`` = probability
     that exactly C is compromised after that many rounds, started by the
-    direct attack; each round is played once, and at most N of them. The
-    pass held for ``net`` goes on if no depth is below its round."""
-    global _last
+    direct attack; each round is played once, and at most N of them."""
     n = net.n_nodes
-    ref, layout, factors, state, played = _plan(net)
-    if state is None or any(depth < played for depth in depths):
-        state, played = np.zeros(3**n), 0
-        state[layout.full] = _outcomes(net.p, 1.0 - net.p)
-        # the slot holds the newest mass only, so that a round sees two
-        _last = (ref, layout, factors, state, played)
+    layout, factors = _plan(net)
+    state, played = np.zeros(3**n), 0
+    state[layout.full] = _outcomes(net.p, 1.0 - net.p)
     for depth in depths:
         for played in range(played + 1, min(depth, n) + 1):
             nxt = np.empty_like(state)
@@ -307,7 +302,6 @@ def _set_probs(net: NetworkModel, depths: Sequence[int]) -> Iterator[np.ndarray]
                     chunk = _factors(chunk)
                 nxt[target] = _round(state[lo:hi].reshape(len(target), -1), chunk)
             state = nxt
-            _last = (ref, layout, factors, state, played)
         out = np.empty(1 << n)
         out[layout.order] = np.add.reduceat(state, layout.starts)
         yield out
@@ -363,14 +357,15 @@ def joint_pmf(net: NetworkModel, depth: int) -> JointPmf:
     Sums the exact-set probabilities of all ``2^N`` node subsets into the
     count table in ascending mask order, so results are reproducible bit for
     bit. Refuses networks above the engine's cell budget (14 nodes); use
-    Monte Carlo simulation for larger networks.
+    Monte Carlo simulation for larger networks. Every call plays its rounds
+    from the direct attack: to sweep depths, use :func:`joint_pmfs`.
     """
-    return _joint_pmfs(net, [depth])[depth]
+    return joint_pmfs(net, [depth])[depth]
 
 
-def _joint_pmfs(net: NetworkModel, depths: Iterable[int]) -> dict[int, JointPmf]:
-    """``joint_pmf`` at each of ``depths`` (any order, repeats allowed), all
-    read out of one forward pass."""
+def joint_pmfs(net: NetworkModel, depths: Iterable[int]) -> dict[int, JointPmf]:
+    """``joint_pmf`` at each of ``depths`` (any order, repeats allowed), keyed
+    by depth, all read out of one forward pass that plays each round once."""
     wanted = sorted(set(depths))
     if wanted and wanted[0] < 0:
         raise ValueError("depth must be >= 0")

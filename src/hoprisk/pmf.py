@@ -5,12 +5,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import stat
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -90,6 +89,15 @@ def _path(source: str | TextIO) -> str:
     return source if isinstance(source, (str, os.PathLike)) else source.name
 
 
+@contextmanager
+def _decoding(path: str) -> Iterator[None]:
+    """Name ``path`` in the error if text read from it inside is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_grid(
     source: str | TextIO,
     what: str,
@@ -112,7 +120,8 @@ def _read_grid(
     are not sorted: the values come back as a view of the parsed rows.
     """
     path = _path(source)
-    with open(path, "r", encoding="utf-8") if path is source else nullcontext(source) as fh:
+    with open(path, "r", encoding="utf-8") if path is source else nullcontext(source) as fh, \
+            _decoding(path):
         header = fh.readline().rstrip("\n").split(",")
         xs = [f"x_{i + 1}" for i in range(len(header) - len(keys or values))]
         keys, values = keys or xs, values or xs
@@ -136,7 +145,7 @@ def _read_grid(
 
     def body() -> list[str]:
         # the lines after the header, read again only to name one in an error
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, _decoding(path):
             return fh.read().split("\n")[1:]
 
     def line_of(row: int) -> int:
@@ -197,15 +206,17 @@ def _write_bytes(path: str, chunks: Iterable[bytes]) -> str:
     The inode stays, so links and permissions are kept. Neither atomic nor
     fsynced: a write that raises leaves the bytes written so far, and a
     process that dies mid-write leaves them before the old file's tail; such
-    a torn file fails its manifest's digest. A device or pipe is not cut."""
+    a torn file fails its manifest's digest. Only a file that ends past the
+    bytes written is cut; a device or pipe has size 0, so it never is."""
     digest = hashlib.sha256()
     with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        size = os.fstat(fh.fileno()).st_size
         try:
             for chunk in chunks:
                 digest.update(chunk)
                 fh.write(chunk)
         finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if size and fh.tell() < size:
                 fh.truncate()
     return "sha256:" + digest.hexdigest()
 

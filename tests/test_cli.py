@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -252,6 +253,37 @@ def test_score_names_the_rules_file_in_its_errors(tmp_path, k5_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, bad, late", [
+    ("score", "rules", False),
+    ("score", "pmf", False),
+    ("score", "pmf", True),
+    ("stats", "pmf", False),
+    ("stats", "pmf", True),
+    ("stats", "samples", False),
+    ("stats", "samples", True),
+])
+def test_an_input_that_is_not_utf8_is_named_in_one_error_line(tmp_path, capsys, command, bad, late):
+    paths = {name: tmp_path / name for name in ("pmf", "samples", "rules")}
+    # 2000 rows: a 0xff byte near the end is past the first block a text
+    # file decodes, so the header reads and the rows do not
+    JointPmf((2000,), np.full(2000, 1 / 2000)).to_csv(str(paths["pmf"]))
+    paths["samples"].write_text("run,depth,x_1\n" + "".join(f"{r},1,{r % 3}\n" for r in range(1, 2001)))
+    paths["rules"].write_text('{"default": 0, "rules": [{"pattern": [">=1"], "score": 1}]}')
+    data = paths[bad].read_bytes()
+    at = len(data) - 2 if late else 1
+    paths[bad].write_bytes(data[:at] + b"\xff" + data[at:])
+    out = tmp_path / "out"
+    if command == "score":
+        argv = ["score", "--pmf", str(paths["pmf"]), "--rules", str(paths["rules"])]
+    else:
+        argv = ["stats", "--in", str(paths[bad])]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[bad]}: ") and err.count("\n") == 1
+    assert "0xff" in err
+    assert set(tmp_path.iterdir()) == set(paths.values())
+
+
 @pytest.mark.parametrize("argv, seed", [
     (["simulate", "--network", "{net}", "-L", "2", "-K", "10"], "-1"),
     (["generate", "ba", "--nodes", "20", "--attach", "2", "--init", "3"], "-3"),
@@ -350,6 +382,10 @@ def test_a_shorter_rewrite_leaves_no_old_tail(tmp_path):
     path.write_bytes(b"x" * 100)
     assert _write_bytes(str(path), [b"abc", b"def"]) == _sha256(b"abcdef")
     assert path.read_bytes() == b"abcdef"
+    # an equal-length and a longer rewrite leave exactly their bytes too
+    for data in (b"uvwxyz", b"0123456789"):
+        assert _write_bytes(str(path), [data[:4], data[4:]]) == _sha256(data)
+        assert path.read_bytes() == data
 
 
 def test_a_write_that_stops_early_leaves_what_it_wrote(tmp_path):
@@ -382,6 +418,20 @@ def test_a_rewrite_keeps_links_and_permissions(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
 def test_a_device_is_written_but_not_cut():
     assert _write_bytes("/dev/null", [b"abc"]) == _sha256(b"abc")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_pipe_is_written_and_never_asked_its_position(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pipe.read_bytes()))
+    reader.start()
+    try:
+        assert _write_bytes(str(pipe), [b"abc", b"def"]) == _sha256(b"abcdef")
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive() and read == [b"abcdef"]
 
 
 def test_a_new_file_takes_its_mode_from_the_umask(tmp_path):

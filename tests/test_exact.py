@@ -1,4 +1,7 @@
+import dataclasses
 import gc
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -21,6 +24,7 @@ from hoprisk import (
     generate_ba,
     induced_subnetwork,
     joint_pmf,
+    joint_pmfs,
     one_hop_prob,
     r_prob,
     save_json,
@@ -249,7 +253,7 @@ def test_oversized_network_refused_before_allocating(tmp_path, capsys):
     tracemalloc.start()
     try:
         peaks = []
-        for request in (lambda: joint_pmf(path, 2), lambda: exact_engine._joint_pmfs(path, [1, 2])):
+        for request in (lambda: joint_pmf(path, 2), lambda: joint_pmfs(path, [1, 2])):
             tracemalloc.reset_peak()
             with pytest.raises(ExactEngineCapError, match="simulate"):
                 request()
@@ -311,7 +315,7 @@ def test_joint_pmfs_match_joint_pmf_bit_for_bit():
         net = random_network(rng)
         n = net.n_nodes
         depths = [3, 0, 1, 3, n, n + 1, 10**12]
-        got = exact_engine._joint_pmfs(net, depths)
+        got = joint_pmfs(net, depths)
         assert sorted(got) == sorted(set(depths))
         for depth, pmf in got.items():
             want = joint_pmf(net, depth)
@@ -340,50 +344,36 @@ def rounds(monkeypatch):
 
 def test_joint_pmfs_play_each_round_once(rounds):
     net = complete_network([3, 4], 0.2, 0.1)
+    n = net.n_nodes
+    one = rounds(lambda: joint_pmf(net, 1))
+    assert one > 0
     deepest = rounds(lambda: joint_pmf(net, 5))
-    assert deepest > 0
-    assert rounds(lambda: exact_engine._joint_pmfs(net, range(1, 6))) == deepest
-    # nothing moves after the N-th round: once there, deeper depths play none
-    assert rounds(lambda: joint_pmf(net, 7)) > 0
-    for depth in (7, 8, 10**12):
-        assert rounds(lambda: joint_pmf(net, depth)) == 0
+    assert deepest == 5 * one
+    assert rounds(lambda: joint_pmfs(net, range(1, 6))) == deepest
+    # every call starts from the direct attack, and nothing moves after the
+    # N-th round: depths from N on play N rounds, on each call
+    for depth in (n, n + 1, 10**12, n):
+        assert rounds(lambda: joint_pmf(net, depth)) == n * one
 
 
-def test_separate_calls_at_rising_depths_continue_one_pass(rounds):
-    net = complete_network([3, 4], 0.2, 0.1)
-    depths = range(9)
-    # an equal copy is another network: it is solved from the direct attack
-    whole, two = {}, {}
-    one_pass = rounds(lambda: whole.update(exact_engine._joint_pmfs(replace(net), depths)))
-    from_start = rounds(lambda: two.update(exact_engine._joint_pmfs(replace(net), [2])))
-    sweep = {}
-    assert rounds(lambda: sweep.update({d: joint_pmf(net, d) for d in depths})) == one_pass
-    for depth in depths:
-        assert sweep[depth].probs.tobytes() == whole[depth].probs.tobytes()
-    assert exact_engine._last[4] == net.n_nodes
-    # a shallower call starts again from the direct attack, to the same bytes
-    again = []
-    assert rounds(lambda: again.append(joint_pmf(net, 2))) == from_start
-    assert again[0].probs.tobytes() == two[2].probs.tobytes()
-    assert exact_engine._last[4] == 2
-
-
-def test_a_copy_with_other_p_never_resumes_the_held_pass(rounds):
+def test_a_copy_with_other_p_never_reuses_the_held_plan():
     net = complete_network([2, 3], 0.2, 0.1)
     p = np.linspace(0.1, 0.5, net.n_nodes)
-    cold, got = [], []
-    from_start = rounds(lambda: cold.append(joint_pmf(replace(net, p=p), 4)))
+    cold = joint_pmf(replace(net, p=p), 4).probs.tobytes()
     joint_pmf(net, 3)
+    _, layout, factors = exact_engine._last
     copy = replace(net, p=p)
-    assert rounds(lambda: got.append(joint_pmf(copy, 4))) == from_start
-    assert got[0].probs.tobytes() == cold[0].probs.tobytes()
-    assert exact_engine._last[0]() is copy
+    assert joint_pmf(copy, 4).probs.tobytes() == cold
+    # the copy is planned anew; only the layout, the same for every network
+    # of its size, is kept
+    ref, kept, planned = exact_engine._last
+    assert ref() is copy and kept is layout and planned is not factors
 
 
 def test_a_solve_goes_on_from_its_own_slot_when_another_network_takes_the_held_one(monkeypatch):
-    # another thread may install its own network's plan and pass between
-    # this call's `_plan` and the rounds; here every `_plan(a)` is followed
-    # by a solve of b, which takes the held slot
+    # another thread may install its own network's plan between this call's
+    # `_plan` and the rounds; here every `_plan(a)` is followed by a solve of
+    # b, which takes the held slot
     a, b = _typed_ba(7, 9), _typed_ba(7, 10)
     fresh = joint_pmf(replace(a), 2).probs.tobytes()
     plan = exact_engine._plan
@@ -397,7 +387,56 @@ def test_a_solve_goes_on_from_its_own_slot_when_another_network_takes_the_held_o
 
     monkeypatch.setattr(exact_engine, "_plan", interrupted)
     assert joint_pmf(a, 2).probs.tobytes() == fresh
-    assert exact_engine._last[0]() is a
+
+
+def _arrays(obj):
+    """The arrays reachable from ``obj`` through tuples, lists, dataclass
+    fields and the bases of views."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+        yield from _arrays(obj.base)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name))
+
+
+def test_no_mass_is_held_after_a_call():
+    net = _typed_ba(7, 9)
+    joint_pmf(net, 3)
+    assert exact_engine._last[0]() is net
+    # the factors are float arrays too, but none is the size of the mass
+    held = [a.size for a in _arrays(exact_engine._last) if a.dtype.kind == "f"]
+    assert held and 3**net.n_nodes not in held
+
+
+def test_two_threads_on_two_networks_get_the_bytes_of_cold_solves():
+    nets = [_typed_ba(7, 9), _typed_ba(7, 10)]
+    depths = [1, 2, 3] * 70
+    cold = [{d: joint_pmf(replace(net), d).probs.tobytes() for d in set(depths)} for net in nets]
+    got = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def solve(i):
+        start.wait()
+        got[i].extend(joint_pmf(nets[i], d).probs.tobytes() for d in depths)
+
+    # switch threads often, so that calls on the two networks interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(2):
+        assert got[i] == [cold[i][d] for d in depths]
 
 
 def test_every_over_budget_request_is_refused_as_a_cap_and_value_error():
@@ -425,12 +464,12 @@ def test_refusal_of_a_request_past_2_53_cells_names_a_power_of_two():
 def test_plan_is_dropped_with_its_network():
     net = complete_network([2, 3], 0.2, 0.1)
     joint_pmf(net, 2)
-    ref, _, _, mass, played = exact_engine._last
-    assert ref() is net and mass.size == 3**5 and played == 2
+    ref, layout, _ = exact_engine._last
+    assert ref() is net and layout.n == net.n_nodes
     exact_engine._reserve(1, "one cell")
     assert exact_engine._last is None
     joint_pmf(net, 2)
-    del net, ref, mass
+    del net, ref
     gc.collect()
     assert exact_engine._last is None
 
@@ -461,18 +500,17 @@ def test_thirteen_node_plan_stays_in_the_shared_budget():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    _, layout, factors, mass, _ = exact_engine._last
-    arrays = [layout.order, layout.starts, layout.full, mass]
+    _, layout, factors = exact_engine._last
+    arrays = [layout.order, layout.starts, layout.full]
     for chunk, factor in zip(layout.chunks, factors):
         arrays += chunk[2:] + (factor if isinstance(factor, tuple) else (factor,))
     cells = sum(a.size for a in arrays)
     assert max(peaks) <= budget
-    # what stays is the plan and the pass: their cells and a few array headers
-    # per chunk
+    # what stays is the plan: its cells and a few array headers per chunk
     assert 0 <= held - 8 * cells < (1 << 16) + (len(layout.chunks) << 10)
     stored = sum(a.size for f in factors if isinstance(f, tuple) for a in f)
     n = net.n_nodes
-    assert cells - stored <= 2 * 3**n + (n * (n - 1) // 4 + n + 3) * 2**n
+    assert cells - stored <= 3**n + (n * (n - 1) // 4 + n + 3) * 2**n
     # the lumped engine and the contingency table drop the plan, even where
     # both would fit in the budget, and the next solve plans anew to the
     # same bytes
